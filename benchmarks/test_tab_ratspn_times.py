@@ -6,6 +6,11 @@ on par with the native tensorized Tensorflow implementation on the GPU
 and clearly beat Tensorflow on the CPU; the compiler's GPU path is
 slower because each of the per-class SPNs transfers the input and
 launches separately after the conversion to SPFlow.
+
+The SPNC CPU rows are the batch-vectorized kernels (the default
+``vectorize="batch"``): their sum layers lower to one stacked
+log-sum-exp per layer, and the per-class kernels together are gated to
+be no slower than the hand-tensorized NumPy execution of the same roots.
 """
 
 import numpy as np
@@ -66,9 +71,7 @@ def test_tab_spnc_cpu(benchmark):
     workload = rat_workload()
     images = workload["images"].test
     query = JointProbability(batch_size=images.shape[0])
-    options = CompilerOptions(
-        vectorize="lanes", opt_level=2, max_partition_size=2500
-    )
+    options = CompilerOptions(opt_level=2, max_partition_size=2500)
     executables = [
         compile_spn(spn, query, options).executable for spn in workload["roots"]
     ]
@@ -90,7 +93,7 @@ def test_tab_spnc_cpu_multihead(benchmark):
     workload = rat_workload()
     images = workload["images"].test
     query = JointProbability(batch_size=images.shape[0])
-    options = CompilerOptions(vectorize="lanes", opt_level=2, max_partition_size=2500)
+    options = CompilerOptions(opt_level=2, max_partition_size=2500)
     executable = compile_spn(list(workload["roots"]), query, options).executable
 
     benchmark(lambda: executable(images))
@@ -132,12 +135,16 @@ def test_tab_summary(benchmark):
     )
     report.note(
         "documented deviation (EXPERIMENTS.md): the tensorized TF-CPU baseline "
-        "(shared-DAG, full-batch NumPy) is near-optimal in Python-ISA units, so "
-        "it ranks first here instead of last as in the paper; the intra-SPNC "
-        "shape (CPU beats GPU due to per-class transfers/launches) and the "
-        "on-par relation between SPNC-CPU and tensorized TF-GPU reproduce"
+        "(shared-DAG, full-batch NumPy) is fast in Python-ISA units, so it does "
+        "not rank last as in the paper; the compiled CPU kernels beat it, and "
+        "the intra-SPNC shape (CPU beats GPU due to per-class "
+        "transfers/launches) reproduces"
     )
     report.show()
+    # Sum layers: the per-class compiled kernels — which re-evaluate the
+    # shared structure once per class — are no slower than one shared
+    # pass of the hand-tensorized baseline over the same roots.
+    assert _rows["spnc cpu"] <= _rows["tf cpu (tensorized)"]
     # Shape (paper): the compiler's GPU path trails its CPU path because
     # each of the per-class SPNs transfers the input and launches separately.
     assert _rows["spnc gpu"] > _rows["spnc cpu"]

@@ -11,7 +11,11 @@ callable kernel functions.
 Design notes:
 
 - Scalar SSA values become Python floats/ints; W-lane vectors become
-  NumPy arrays of length W (register blocking, see DESIGN.md).
+  NumPy arrays of length W (register blocking, see DESIGN.md); rank-2
+  vectors (the stacked children of a sum layer) become ``[k, W]`` arrays.
+- Constants and splats of constants are *immediates*: they appear as
+  literal text in the statements that use them, never as statements of
+  their own.
 - Elementary functions call the veclib (NumPy ufuncs) in vector code and
   guarded scalar helpers in scalar code; ``vector.scalarized_call``
   compiles to an explicit per-lane loop (the no-veclib configuration).
@@ -82,6 +86,12 @@ _CMP_OPERATORS = {
 }
 
 
+#: Ops whose result may be a zero-copy view of their first operand (a
+#: broadcast vector, a row of a rank-2 vector): the operand's register
+#: must outlive every use of the view.
+_VIEW_OPS = frozenset({"vector.broadcast", "vector.extract"})
+
+
 @dataclass
 class CodegenStats:
     """Backend statistics (reported by the compile-time experiments)."""
@@ -136,10 +146,11 @@ class CodeGenerator:
 
         self.module = module
         self.reuse_vector_registers = reuse_vector_registers
-        self._scratch_pools: Dict[Tuple[Optional[int], str], List[str]] = {}
-        self._scratch_pool_of: Dict[str, Tuple[Optional[int], str]] = {}
+        self._scratch_pools: Dict[Tuple[tuple, str], List[str]] = {}
+        self._scratch_pool_of: Dict[str, Tuple[tuple, str]] = {}
         self._scratch_decls: Dict[str, str] = {}
         self._scratch_created = 0
+        self._weights_count = 0
         #: Reusable temp-buffer pool shared by every function of this
         #: module: memref temporaries and runtime-width scratch vectors
         #: are fetched from it per invocation instead of np.empty'd.
@@ -168,6 +179,9 @@ class CodeGenerator:
         self._arange_widths: set = set()
         # Per-function state
         self._names: Dict[Value, str] = {}
+        #: Values named by text they do not own (immediates, zero-copy
+        #: broadcasts): dropping one must not free the name.
+        self._borrowed: set = set()
         self._pool = _NamePool()
         self._arg_count = 0
 
@@ -199,9 +213,14 @@ class CodeGenerator:
 
     # -- naming / regalloc ----------------------------------------------------------
 
-    def _compute_last_uses(self, block: Block) -> Dict[Value, int]:
-        """Map each value to the index of the last op in ``block`` using it
-        (uses inside nested regions count at the nesting op's index)."""
+    def _compute_deaths(self, block: Block) -> Dict[int, List[Value]]:
+        """Map each op index of ``block`` to the values defined in the
+        block whose live range ends there.
+
+        Uses inside nested regions count at the nesting op's index. A
+        value viewed without a copy (``_VIEW_OPS``) stays live as long
+        as its views do.
+        """
         last_use: Dict[Value, int] = {}
 
         def record(op: Operation, position: int) -> None:
@@ -212,9 +231,19 @@ class CodeGenerator:
                     for inner in inner_block.ops:
                         record(inner, position)
 
-        for position, op in enumerate(block.ops):
+        ops = block.op_list()
+        for position, op in enumerate(ops):
             record(op, position)
-        return last_use
+        for op in reversed(ops):
+            if op.op_name in _VIEW_OPS and op.results[0] in last_use:
+                source = op.operands[0]
+                last_use[source] = max(last_use[source], last_use[op.results[0]])
+        deaths: Dict[int, List[Value]] = {}
+        for value, position in last_use.items():
+            producer = value.defining_op
+            if producer is not None and producer.parent is block:
+                deaths.setdefault(position, []).append(value)
+        return deaths
 
     def _name_of(self, value: Value) -> str:
         name = self._names.get(value)
@@ -232,11 +261,17 @@ class CodeGenerator:
         self._names[value] = name
         return name
 
+    def _assign_borrowed(self, value: Value, text: str) -> None:
+        """Name ``value`` by text another value (or nobody) owns."""
+        self._names[value] = text
+        self._borrowed.add(value)
+
     # -- function emission ---------------------------------------------------------------
 
     def _emit_function(self, fn: Operation) -> None:
         self.stats.functions += 1
         self._names = {}
+        self._borrowed = set()
         self._pool = _NamePool()
         self._scratch_pools = {}
         self._scratch_pool_of = {}
@@ -274,39 +309,39 @@ class CodeGenerator:
             "runtime-width vectors require a dynamically sized memref argument"
         )
 
-    def _emit_block(self, block: Block, indent: int) -> None:
+    def _emit_block(
+        self, block: Block, indent: int, skip_terminator: bool = False
+    ) -> None:
+        """Emit the ops of ``block``; ``skip_terminator`` leaves the
+        yield to the enclosing loop/if emitter."""
         regalloc_start = time.perf_counter()
-        last_use = self._compute_last_uses(block)
+        deaths = self._compute_deaths(block)
         self.stats.regalloc_seconds += time.perf_counter() - regalloc_start
 
-        ops = block.op_list()
-        for position, op in enumerate(ops):
+        for position, op in enumerate(block.op_list()):
+            if skip_terminator and op.op_name in ("scf.yield", "lo_spn.yield"):
+                continue
             self.stats.ir_operations += 1
             self._emit_op(op, indent)
-            self._release_dead(block, op, position, last_use)
+            for value in deaths.get(position, ()):
+                self._release_value(value)
+            for res in op.results:
+                if not res.has_uses:
+                    self._release_value(res)
 
-    def _release_dead(self, block: Block, op: Operation, position: int, last_use) -> None:
-        """Return pool names whose live range ended at ``position``.
+    def _release_value(self, value: Value) -> None:
+        """Return ``value``'s name to its pool (its live range ended).
 
-        Only values *defined in this block* are released here — a value
-        defined in an enclosing block stays live from the enclosing
-        block's perspective even after its last use inside a nested
-        region.
+        Only called for values *defined in the block being emitted* — a
+        value defined in an enclosing block stays live from the
+        enclosing block's perspective even after its last use inside a
+        nested region.
         """
-        for operand in dict.fromkeys(op.operands):
-            if last_use.get(operand) != position:
-                continue
-            producer = operand.defining_op
-            if producer is None or producer.parent is not block:
-                continue
-            name = self._names.get(operand)
-            if name is not None and self._release_name(name):
-                del self._names[operand]
-        for res in op.results:
-            if res in self._names and not res.has_uses:
-                name = self._names[res]
-                if self._release_name(name):
-                    del self._names[res]
+        name = self._names.get(value)
+        if name is None:
+            return
+        if value in self._borrowed or self._release_name(name):
+            del self._names[value]
 
     def _release_name(self, name: str) -> bool:
         pool_key = self._scratch_pool_of.get(name)
@@ -351,32 +386,42 @@ class CodeGenerator:
         ty = op.results[0].type
         return (
             isinstance(ty, VectorType)
-            and ty.rank == 1
+            and ty.rank in (1, 2)
             and isinstance(ty.element_type, FloatType)
         )
 
-    def _assign_scratch(self, value: Value) -> str:
-        ty = value.type
-        key = (ty.shape[0], numpy_dtype(ty.element_type).__name__)
+    def _acquire_scratch(self, ty: VectorType) -> str:
+        """A free scratch register of vector type ``ty`` (release it with
+        :meth:`_release_name`)."""
+        key = (ty.shape, numpy_dtype(ty.element_type).__name__)
         pool = self._scratch_pools.setdefault(key, [])
         if pool:
-            name = pool.pop()
-        else:
-            name = f"v{self._scratch_created}"
-            self._scratch_created += 1
-            if key[0] is None:
-                # Runtime-width scratch lives in the reusable buffer
-                # pool: same slot, same thread → same backing array on
-                # every chunk, so steady state allocates nothing.
-                self._uses_batch_width = True
-                self._scratch_decls[name] = (
-                    f"_tmp_pool.buffer({name!r}, _n, np.{key[1]})"
-                )
-            else:
-                self._scratch_decls[name] = (
-                    f"np.empty({key[0]}, dtype=np.{key[1]})"
-                )
-            self._scratch_pool_of[name] = key
+            return pool.pop()
+        name = f"v{self._scratch_created}"
+        self._scratch_created += 1
+        self._scratch_decls[name] = self._scratch_decl(name, *key)
+        self._scratch_pool_of[name] = key
+        return name
+
+    def _scratch_decl(self, name: str, shape: tuple, dtype: str) -> str:
+        if None not in shape:
+            size = shape[0] if len(shape) == 1 else shape
+            return f"np.empty({size}, dtype=np.{dtype})"
+        # Runtime-width scratch lives in the reusable buffer pool: same
+        # slot, same thread → same backing array on every chunk, so
+        # steady state allocates nothing. Rank-2 scratch is requested
+        # flat and reshaped, so it is contiguous at every chunk width.
+        self._uses_batch_width = True
+        if len(shape) == 1:
+            return f"_tmp_pool.buffer({name!r}, _n, np.{dtype})"
+        rows = shape[0]
+        return (
+            f"_tmp_pool.buffer({name!r}, {rows} * _n, np.{dtype})"
+            f".reshape({rows}, _n)"
+        )
+
+    def _assign_scratch(self, value: Value) -> str:
+        name = self._acquire_scratch(value.type)
         self._names[value] = name
         self.stats.values_assigned += 1
         return name
@@ -395,6 +440,16 @@ class CodeGenerator:
         self._table_count += 1
         self.globals[name] = np.ascontiguousarray(
             data.astype(numpy_dtype(elem))
+        )
+        return name
+
+    def _register_weights(self, weights: np.ndarray, ty: VectorType) -> str:
+        """A global tuple of the ``[s, 1]`` columns of a weight matrix."""
+        name = f"_w{self._weights_count}"
+        self._weights_count += 1
+        dense = weights.astype(numpy_dtype(ty.element_type))
+        self.globals[name] = tuple(
+            np.ascontiguousarray(dense[:, i : i + 1]) for i in range(dense.shape[1])
         )
         return name
 
@@ -440,12 +495,12 @@ def handles(op_name: str):
 
 @handles("arith.constant")
 def _h_constant(cg: CodeGenerator, op: Operation, indent: int) -> None:
+    # An immediate: literal text in the statements that use it.
     value = op.attributes["value"]
-    ty = op.results[0].type
-    if isinstance(ty, FloatType):
-        cg._expr_result(op, indent, _float_literal(float(value)))
+    if isinstance(op.results[0].type, FloatType):
+        cg._assign_borrowed(op.results[0], _float_literal(float(value)))
     else:
-        cg._expr_result(op, indent, repr(int(value)))
+        cg._assign_borrowed(op.results[0], repr(int(value)))
 
 
 def _binary(cg: CodeGenerator, op: Operation, indent: int, symbol: str) -> None:
@@ -524,22 +579,23 @@ def _h_ori(cg, op, indent):
     _binary(cg, op, indent, symbol)
 
 
-@handles("arith.minf")
-def _h_minf(cg, op, indent):
+def _min_max(cg, op, indent, ufunc: str, relation: str) -> None:
     a, b = (cg._name_of(v) for v in op.operands)
     if cg._is_vector(op.operands[0]):
-        cg._expr_result(op, indent, f"np.minimum({a}, {b})")
+        cg._ufunc_result(op, indent, ufunc, [a, b])
     else:
-        cg._expr_result(op, indent, f"min({a}, {b})")
+        # NaN-propagating like the ufunc (Python's min/max are not).
+        cg._expr_result(op, indent, f"({a} if {a} {relation} {b} or {a} != {a} else {b})")
+
+
+@handles("arith.minf")
+def _h_minf(cg, op, indent):
+    _min_max(cg, op, indent, "np.minimum", "<=")
 
 
 @handles("arith.maxf")
 def _h_maxf(cg, op, indent):
-    a, b = (cg._name_of(v) for v in op.operands)
-    if cg._is_vector(op.operands[0]):
-        cg._expr_result(op, indent, f"np.maximum({a}, {b})")
-    else:
-        cg._expr_result(op, indent, f"max({a}, {b})")
+    _min_max(cg, op, indent, "np.maximum", ">=")
 
 
 def _cmp(cg: CodeGenerator, op: Operation, indent: int) -> None:
@@ -655,8 +711,13 @@ def _h_abs(cg, op, indent):
 
 @handles("vector.broadcast")
 def _h_broadcast(cg, op, indent):
-    # NumPy broadcasting makes splats free: keep the scalar.
-    cg._expr_result(op, indent, cg._name_of(op.operands[0]))
+    # NumPy broadcasting makes splats free: the result is the source.
+    source = op.operands[0]
+    if source in cg._borrowed or cg._is_vector(source):
+        # An immediate, or a vector kept live through this view.
+        cg._assign_borrowed(op.results[0], cg._name_of(source))
+    else:
+        cg._expr_result(op, indent, cg._name_of(source))
 
 
 def _width_slice(start: str, width: Optional[int]) -> str:
@@ -721,7 +782,62 @@ def _h_extract_column(cg, op, indent):
 @handles("vector.extract")
 def _h_vextract(cg, op, indent):
     vec = cg._name_of(op.operands[0])
-    cg._expr_result(op, indent, f"float({vec}[{op.attributes['position']}])")
+    element = f"{vec}[{op.attributes['position']}]"
+    if cg._is_vector(op.results[0]):
+        cg._expr_result(op, indent, element)  # a row view, no copy
+    else:
+        cg._expr_result(op, indent, f"float({element})")
+
+
+@handles("vector.stack")
+def _h_vstack(cg, op, indent):
+    rows = [cg._name_of(v) for v in op.operands]
+    # Splats of immediates are scalars here; everything else is an array.
+    arrays = not any(v in cg._borrowed for v in op.operands)
+    if not cg._scratch_eligible(op):
+        stacked = f"({', '.join(rows)},)"
+        if not arrays:
+            stacked = f"np.broadcast_arrays{stacked}"
+        cg._expr_result(op, indent, f"np.stack({stacked})")
+        return
+    name = cg._assign_scratch(op.results[0])
+    if arrays and None in op.results[0].type.shape:
+        # Runtime-width scratch is contiguous: one C-level copy loop.
+        cg._line(
+            indent, f"np.concatenate(({', '.join(rows)},), out={name}.reshape(-1))"
+        )
+    else:
+        for i, row in enumerate(rows):
+            cg._line(indent, f"{name}[{i}] = {row}")
+
+
+@handles("vector.row_max")
+def _h_row_max(cg, op, indent):
+    rows = cg._name_of(op.operands[0])
+    cg._ufunc_result(op, indent, "np.maximum.reduce", [rows, "axis=0"])
+
+
+@handles("vector.contract")
+def _h_contract(cg, op, indent):
+    """``acc = w[:, 0] * rows[0]; acc += w[:, i] * rows[i]`` in row
+    order — see ``vector.contract`` for why not ``np.matmul``."""
+    rows = cg._name_of(op.operands[0])
+    columns = cg._register_weights(op.attributes["weights"], op.results[0].type)
+    count = op.attributes["weights"].shape[1]
+    if not cg._scratch_eligible(op):
+        acc = cg._assign(op.results[0])
+        cg._line(indent, f"{acc} = {columns}[0] * {rows}[0]")
+        for i in range(1, count):
+            cg._line(indent, f"{acc} += {columns}[{i}] * {rows}[{i}]")
+        return
+    acc = cg._assign_scratch(op.results[0])
+    cg._line(indent, f"np.multiply({columns}[0], {rows}[0], out={acc})")
+    if count > 1:
+        term = cg._acquire_scratch(op.results[0].type)
+        for i in range(1, count):
+            cg._line(indent, f"np.multiply({columns}[{i}], {rows}[{i}], out={term})")
+            cg._line(indent, f"np.add({acc}, {term}, out={acc})")
+        cg._release_name(term)
 
 
 @handles("vector.insert")
@@ -829,29 +945,16 @@ def _h_for(cg, op, indent):
     cg._line(indent, f"for {induction} in range({lower}, {upper}, {step}):")
     inner_ops = body.op_list()
     terminator = inner_ops[-1] if inner_ops else None
-    if len(inner_ops) <= 1 and not carried:
-        cg._line(indent + 1, "pass")
+    lines_before = len(cg.lines)
     # Emit everything except the terminator.
-    cg._emit_block_until_terminator(body, indent + 1)
+    cg._emit_block(body, indent + 1, skip_terminator=True)
     if terminator is not None and terminator.op_name == "scf.yield":
         for name, yielded in zip(carried, terminator.operands):
             cg._line(indent + 1, f"{name} = {cg._name_of(yielded)}")
+    if len(cg.lines) == lines_before:  # immediates emit no statement
+        cg._line(indent + 1, "pass")
     for res, name in zip(op.results, carried):
         cg._assign_fixed(res, name)
-
-
-def _emit_block_until_terminator(self: CodeGenerator, block: Block, indent: int) -> None:
-    last_use = self._compute_last_uses(block)
-    ops = block.op_list()
-    for position, op in enumerate(ops):
-        if op.op_name in ("scf.yield", "lo_spn.yield"):
-            continue
-        self.stats.ir_operations += 1
-        self._emit_op(op, indent)
-        self._release_dead(block, op, position, last_use)
-
-
-CodeGenerator._emit_block_until_terminator = _emit_block_until_terminator
 
 
 @handles("scf.if")
@@ -867,13 +970,14 @@ def _h_if(cg, op, indent):
 
 def _emit_branch(cg: CodeGenerator, block: Block, indent: int, result_names) -> None:
     ops = block.op_list()
-    if not ops or (len(ops) == 1 and not result_names):
-        cg._line(indent, "pass")
-    cg._emit_block_until_terminator(block, indent)
+    lines_before = len(cg.lines)
+    cg._emit_block(block, indent, skip_terminator=True)
     terminator = ops[-1] if ops else None
     if terminator is not None and terminator.op_name == "scf.yield":
         for name, yielded in zip(result_names, terminator.operands):
             cg._line(indent, f"{name} = {cg._name_of(yielded)}")
+    if len(cg.lines) == lines_before:  # immediates emit no statement
+        cg._line(indent, "pass")
 
 
 @handles("scf.yield")

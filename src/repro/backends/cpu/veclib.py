@@ -95,14 +95,16 @@ def scalarized(fn_name: str, values: np.ndarray) -> np.ndarray:
     invoked, and the result is inserted back — reproducing the cost
     structure of vector code compiled without a vector math library
     (paper Fig. 6, where this configuration loses to scalar code).
+    A rank-2 ``[k, n]`` vector is walked element by element the same way.
     """
     fn = _SCALAR_FN[fn_name]
-    out = np.empty_like(values)
-    for i in range(len(values)):
-        lane = values[i]          # extract
+    lanes = values.reshape(-1)
+    out = np.empty_like(lanes)
+    for i in range(len(lanes)):
+        lane = lanes[i]           # extract
         result = fn(float(lane))  # scalar libm call
         out[i] = result           # insert
-    return out
+    return out.reshape(values.shape)
 
 
 VECTOR_FN = {"log": vlog, "exp": vexp, "log1p": vlog1p, "sqrt": vsqrt}

@@ -11,6 +11,11 @@ log-likelihoods in one pass.
 For comparison, the SPNC compiler — as in the paper — must compile and
 run ten distinct per-class kernels after the conversion to the SPFlow
 representation, re-evaluating the shared structure each time.
+
+This is a baseline, not a bound: it pays one NumPy dispatch sequence per
+*node*. The compiled batch kernels pay one per *sum layer*
+(``lo_spn.weighted_sum``) and beat it even per class
+(``benchmarks/test_tab_ratspn_times.py`` gates that).
 """
 
 from __future__ import annotations

@@ -13,6 +13,13 @@ trees of depth ⌈log2 N⌉, which
 Re-association changes floating-point results within rounding tolerance;
 the pass therefore only runs at -O3 (the paper's "differences between
 optimization levels are small" regime), and the tests pin the tolerance.
+
+The chains it finds are products (every query) and the sums of the
+conditional, MPE and sampling lowerings. The sums of joint/marginal
+queries are n-ary ``lo_spn.weighted_sum`` ops, not ``lo_spn.add``
+chains: where those expand to binary log-adds
+(``ScalarEmitter.weighted_sum``) they are folded as a balanced tree at
+every optimization level.
 """
 
 from __future__ import annotations

@@ -417,6 +417,12 @@ def _emit_body(op: Operation, emitter: ScalarEmitter, value_map: Dict[Value, Val
             value = emitter.add(
                 value_map[inner.operands[0]], value_map[inner.operands[1]]
             )
+        elif name == lospn.WeightedSumOp.name:
+            sums = emitter.weighted_sum(
+                [value_map[v] for v in inner.operands], inner.weights
+            )
+            value_map.update(zip(inner.results, sums))
+            continue
         elif name == lospn.MaxOp.name:
             value = emitter.max(
                 value_map[inner.operands[0]], value_map[inner.operands[1]]

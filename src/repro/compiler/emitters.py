@@ -11,6 +11,11 @@ variations behind one interface:
   space,
 - probability addition: ``addf`` in linear space, a numerically stable
   ``max + log1p(exp(min - max))`` expansion in log space,
+- sum layers (``lo_spn.weighted_sum``): one shared recipe — weight every
+  child, fold the terms with binary adds as a balanced tree — for
+  scalar, fixed-lane and GPU code, and a stacked max-shifted ``exp`` →
+  ordered contraction → ``log`` over the whole chunk in batch-vectorized
+  code,
 - Gaussian leaves: PDF evaluation (linear) or the fused
   ``c1 - (x-m)^2 * c2`` form (log),
 - discrete leaves: clamped table lookup or select cascade, and
@@ -36,6 +41,18 @@ LOG_2PI = math.log(2.0 * math.pi)
 #: Mass assigned to values outside a histogram's covered range; mirrors
 #: the reference implementation (spn.nodes.Histogram.EPSILON).
 HISTOGRAM_EPSILON = 1e-12
+
+#: Batch-vectorized code lowers a sum layer (``s`` sums over ``k``
+#: children) to the stacked form when that replaces at least this many
+#: binary log-adds, ``s * (k - 1)``; smaller layers keep the log-adds,
+#: whose 8 small ops each are cheaper than the stacked form's fixed cost.
+#: Measured per call at 1 and at 1024 rows (EXPERIMENTS.md, "Sum-layer
+#: crossover"): below 6 the log-adds win, at 6 the two tie for a single
+#: sum (k = 7) and the stack is ahead for a group (2 x 4, 3 x 3), above
+#: it the stack wins. A property of the model, not an option: the
+#: fan-in-2 mixtures of the speaker-ID SPNs (1 log-add) sit below it,
+#: every RAT-SPN region (6 x 8 log-adds and up) above.
+STACK_MIN_LOG_ADDS = 6
 
 
 class ScalarEmitter:
@@ -121,19 +138,45 @@ class ScalarEmitter:
     def add(self, a: Value, b: Value) -> Value:
         if not self.log_space:
             return self.builder.create(arith.AddFOp, a, b).result
-        # log-add-exp: max(a,b) + log1p(exp(min - max)), guarded so that
-        # (-inf, -inf) stays -inf instead of becoming NaN.
+        # log-add-exp: hi + log1p(exp(lo - hi)). The subtrahend is clamped
+        # to a finite value, so (-inf, -inf) computes exp(-inf) = 0 and
+        # stays -inf: no `-inf - -inf`, no NaN, nothing to guard.
         b_ = self.builder
-        a_ge_b = b_.create(arith.CmpFOp, "oge", a, b).result
-        hi = b_.create(arith.SelectOp, a_ge_b, a, b).result
-        lo = b_.create(arith.SelectOp, a_ge_b, b, a).result
-        diff = b_.create(arith.SubFOp, lo, hi).result
+        hi = b_.create(arith.MaxFOp, a, b).result
+        lo = b_.create(arith.MinFOp, a, b).result
+        diff = b_.create(arith.SubFOp, lo, self._finite_shift(hi)).result
         exp = b_.create(math_dialect.ExpOp, diff).result
         log1p = b_.create(math_dialect.Log1pOp, exp).result
-        combined = b_.create(arith.AddFOp, hi, log1p).result
-        neg_inf = self.constant(-math.inf)
-        is_neg_inf = b_.create(arith.CmpFOp, "oeq", hi, neg_inf).result
-        return b_.create(arith.SelectOp, is_neg_inf, neg_inf, combined).result
+        return b_.create(arith.AddFOp, hi, log1p).result
+
+    def _finite_shift(self, peak: Value) -> Value:
+        """``max(peak, -FLT_MAX)``: the log-sum-exp shift, kept finite
+        where every term is impossible (``peak == -inf``)."""
+        lowest = -float(np.finfo(self._numpy_dtype()).max)
+        return self.builder.create(
+            arith.MaxFOp, peak, self.constant(lowest)
+        ).result
+
+    def _numpy_dtype(self):
+        return np.float32 if self.compute_type.width == 32 else np.float64
+
+    def weighted_sum(self, children: Sequence[Value], weights: np.ndarray):
+        """A sum layer as binary log-adds: per sum, weight every child
+        (constant + ``mul``) and fold the terms, in child order, as a
+        balanced tree of :meth:`add` — ``k - 1`` adds like a left-to-right
+        chain, at rounding depth ``ceil(log2 k)`` instead of ``k - 1``.
+        Returns one value per row of ``weights``."""
+
+        def fold(row, lo: int, hi: int) -> Value:
+            if hi - lo == 1:
+                weight = float(row[lo])
+                if self.log_space:
+                    weight = math.log(weight) if weight > 0 else -math.inf
+                return self.mul(children[lo], self.lo_constant(weight))
+            mid = (lo + hi) // 2
+            return self.add(fold(row, lo, mid), fold(row, mid, hi))
+
+        return [fold(row, 0, len(children)) for row in weights]
 
     def max(self, a: Value, b: Value) -> Value:
         """Probability maximum (raw-value max in both spaces)."""
@@ -292,8 +335,7 @@ class ScalarEmitter:
         if self.log_space:
             with np.errstate(divide="ignore"):
                 probs = np.log(probs)
-        dtype = np.float32 if self.compute_type.width == 32 else np.float64
-        return probs.astype(dtype)
+        return probs.astype(self._numpy_dtype())
 
     def _index_from(self, v: Value, offset: float, scale: float) -> Value:
         """Compute clamped bucket index floor((v - offset) * scale)."""
@@ -394,3 +436,61 @@ class VectorEmitter(ScalarEmitter):
         return self.builder.create(
             vector_dialect.GatherTableOp, buffer, idx
         ).result
+
+    def weighted_sum(self, children: Sequence[Value], weights: np.ndarray):
+        """Batch mode lowers a sum layer as one stacked log-sum-exp.
+
+        The ``k`` children become the rows of a ``[k, n]`` vector; the
+        row maximum ``m`` (clamped finite) shifts them, one ``exp``
+        takes them to linear space, the dense weights contract the rows
+        in child order, and one ``log`` plus ``m`` goes back — a handful
+        of whole-chunk ops where the chain needs ``8 s k``. In linear
+        space only the contraction remains.
+
+        Fixed-lane code stays on the binary log-adds. So does, in log
+        space, any sum with a weight that is not a normal number of the
+        compute type (zero, or rounded to zero/subnormal): the shift is
+        the peak of the *unweighted* children, and a child that counts
+        for nothing must not hold it — every term that does count would
+        underflow, turning a finite sum into ``-inf``. The binary form
+        weights its terms in log space first and is exact there. And so
+        do layers whose stackable sums replace fewer than
+        ``STACK_MIN_LOG_ADDS`` log-adds.
+        """
+        dense = weights.astype(self._numpy_dtype())
+        stackable = np.ones(len(dense), dtype=bool)
+        if self.log_space:
+            stackable = (dense >= np.finfo(dense.dtype).tiny).all(axis=1)
+        replaced = int(stackable.sum()) * (len(children) - 1)
+        if self.lanes is not None or replaced < STACK_MIN_LOG_ADDS:
+            return super().weighted_sum(children, weights)
+        results: list = [None] * len(dense)
+        binary = np.flatnonzero(~stackable)
+        for j, value in zip(binary, super().weighted_sum(children, weights[binary])):
+            results[j] = value
+        stacked = np.flatnonzero(stackable)
+        for j, value in zip(stacked, self._stacked_sums(children, dense[stacked])):
+            results[j] = value
+        return results
+
+    def _stacked_sums(self, children: Sequence[Value], weights: np.ndarray):
+        """The stacked form for sums whose every child counts
+        (``weights`` already in the compute dtype)."""
+        b_ = self.builder
+        rows = b_.create(vector_dialect.StackOp, children).result
+        if self.log_space:
+            peak = b_.create(vector_dialect.RowMaxOp, rows).result
+            shift = b_.create(
+                vector_dialect.BroadcastOp, self._finite_shift(peak), rows.type
+            ).result
+            shifted = b_.create(arith.SubFOp, rows, shift).result
+            rows = b_.create(math_dialect.ExpOp, shifted).result
+        sums = b_.create(vector_dialect.ContractOp, weights, rows).result
+        if self.log_space:
+            logs = b_.create(math_dialect.LogOp, sums).result
+            back = b_.create(vector_dialect.BroadcastOp, peak, sums.type).result
+            sums = b_.create(arith.AddFOp, logs, back).result
+        return [
+            b_.create(vector_dialect.ExtractOp, sums, j).result
+            for j in range(len(weights))
+        ]

@@ -4,10 +4,16 @@ The HiSPN query + DAG is turned into a ``lo_spn.kernel`` containing a
 single ``lo_spn.task`` whose region holds the per-sample computation in a
 ``lo_spn.body``:
 
-- variadic HiSPN sums/products are **binarized** into two-operand
-  ``lo_spn.add``/``lo_spn.mul`` chains,
-- weighted sums are **decomposed** into constant-multiplications and
-  additions,
+- variadic HiSPN products are **binarized** into two-operand
+  ``lo_spn.mul`` chains,
+- the weighted sums of joint/marginal queries are **grouped** into sum
+  layers: every set of ``hi_spn.sum`` ops over one identical child list
+  becomes a single n-ary ``lo_spn.weighted_sum`` with a dense weight
+  matrix (an ordinary sum is a group of one). The expansion into
+  elementary operations is the target lowering's business
+  (``ScalarEmitter.weighted_sum``). Query modalities that need the
+  individual weighted terms (argmax chains, moment pairs) still
+  **decompose** their sums into constant-multiplications and additions,
 - the abstract ``!hi_spn.probability`` type is resolved to a concrete
   computation type: log-space (``!lo_spn.log<T>``) by default, with the
   float width chosen from graph characteristics (depth — a proxy for how
@@ -254,27 +260,53 @@ def _lower_joint_query(
     scaffold = _Scaffold(query, builder, kernel_name, ct, num_heads)
 
     graph = query.graph
-    support_marginal = query.support_marginal
+    groups = _sum_groups(graph)
+    bb = scaffold.body_builder
     mapping: Dict[Value, Value] = {}
     root_values: Optional[List[Value]] = None
     for op in graph.body.ops:
         if op.op_name == hispn.RootOp.name:
             root_values = [mapping[v] for v in op.operands]
-            continue
-        mapping.update(
-            _lower_node(
-                op,
-                scaffold.body_builder,
-                mapping,
-                scaffold.arg_of_feature,
-                ct,
-                decision,
-                support_marginal,
+        elif op.op_name == hispn.SumOp.name:
+            members = groups.get(op)
+            if members is None:
+                continue  # lowered with the first sum of its group
+            layer = bb.create(
+                lospn.WeightedSumOp,
+                [mapping[v] for v in op.operands],
+                [member.weights for member in members],
             )
-        )
+            for member, result in zip(members, layer.results):
+                mapping[member.results[0]] = result
+        else:
+            mapping.update(
+                _lower_node(
+                    op,
+                    bb,
+                    mapping,
+                    scaffold.arg_of_feature,
+                    ct,
+                    query.support_marginal,
+                )
+            )
     if root_values is None:
         raise LoweringError("hi_spn.graph has no root")
     scaffold.finish(root_values)
+
+
+def _sum_groups(graph: hispn.GraphOp) -> Dict[Operation, List[Operation]]:
+    """The graph's sum layers, keyed by the first sum of each.
+
+    Sums over one identical operand list form a layer (the ``num_sums``
+    sums of a RAT-SPN region, the class heads of a multi-head kernel);
+    any other sum is a layer of one. All members share their operands,
+    so the whole layer can be emitted where its first member stands.
+    """
+    by_children: Dict[tuple, List[Operation]] = {}
+    for op in graph.body.ops:
+        if op.op_name == hispn.SumOp.name:
+            by_children.setdefault(tuple(op.operands), []).append(op)
+    return {members[0]: members for members in by_children.values()}
 
 
 def _lower_node(
@@ -283,9 +315,10 @@ def _lower_node(
     mapping: Dict[Value, Value],
     arg_of_feature: Dict[int, Value],
     ct,
-    decision: TypeDecision,
     support_marginal: bool,
 ) -> Dict[Value, Value]:
+    """Lower one leaf or product (sums are the caller's: they differ per
+    query modality)."""
     name = op.op_name
     if name == hispn.GaussianOp.name:
         evidence = arg_of_feature[op.operands[0].arg_index]
@@ -310,21 +343,6 @@ def _lower_node(
         acc = operands[0]
         for operand in operands[1:]:
             acc = builder.create(lospn.MulOp, acc, operand).result
-        return {op.results[0]: acc}
-    if name == hispn.SumOp.name:
-        operands = [mapping[v] for v in op.operands]
-        weights = op.weights
-        terms: List[Value] = []
-        for operand, weight in zip(operands, weights):
-            if decision.use_log_space:
-                payload = math.log(weight) if weight > 0 else -math.inf
-            else:
-                payload = weight
-            const = builder.create(lospn.ConstantOp, payload, ct)
-            terms.append(builder.create(lospn.MulOp, operand, const.result).result)
-        acc = terms[0]
-        for term in terms[1:]:
-            acc = builder.create(lospn.AddOp, acc, term).result
         return {op.results[0]: acc}
     raise LoweringError(f"cannot lower HiSPN op '{name}'")
 
@@ -554,8 +572,7 @@ def _lower_sample_query(
     float_type = force_float_type
     if float_type is None:
         float_type = f64 if graph_depth(query.graph) > DEPTH_F64_THRESHOLD else f32
-    decision = TypeDecision(True, float_type)
-    ct = decision.computation_type
+    ct = lospn.LogType(float_type)
     graph = query.graph
     root_value = _single_root(graph, "sample")
     nodes, id_of, root_id = _graph_plan(graph)
@@ -611,9 +628,7 @@ def _lower_sample_query(
             choice_rows.append(index)
         else:
             mapping.update(
-                _lower_node(
-                    op, bb, mapping, scaffold.arg_of_feature, ct, decision, True
-                )
+                _lower_node(op, bb, mapping, scaffold.arg_of_feature, ct, True)
             )
 
     plan = {
@@ -662,12 +677,21 @@ def _lower_conditional_query(
                 payload = 0.0 if decision.use_log_space else 1.0
                 const = bb.create(lospn.ConstantOp, payload, ct)
                 mapping[op.results[0]] = const.result
-                continue
-            mapping.update(
-                _lower_node(
-                    op, bb, mapping, scaffold.arg_of_feature, ct, decision, True
+            elif op.op_name == hispn.SumOp.name:
+                terms = _weighted_terms(
+                    bb,
+                    [mapping[v] for v in op.operands],
+                    op.weights,
+                    ct,
+                    decision.use_log_space,
                 )
-            )
+                mapping[op.results[0]] = _add_chain(bb, terms)
+            else:
+                mapping.update(
+                    _lower_node(
+                        op, bb, mapping, scaffold.arg_of_feature, ct, True
+                    )
+                )
         return mapping[root_value]
 
     joint_head = translate(False)
@@ -714,7 +738,6 @@ def _lower_expectation_query(
     negative means), which log space cannot represent — expectation
     kernels always run in linear f64.
     """
-    decision = TypeDecision(False, f64)
     ct = f64
     moment = query.moment
     graph = query.graph
@@ -744,9 +767,7 @@ def _lower_expectation_query(
         result = op.results[0]
         if name in _LEAF_OP_NAMES:
             lik.update(
-                _lower_node(
-                    op, bb, {}, scaffold.arg_of_feature, ct, decision, True
-                )
+                _lower_node(op, bb, {}, scaffold.arg_of_feature, ct, True)
             )
             variable = op.operands[0].arg_index
             substitution = _leaf_substitution(op, moment)

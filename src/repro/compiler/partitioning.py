@@ -14,6 +14,10 @@ described in the paper:
   ``i < j``, which guarantees the partition dependence graph is acyclic.
 - **Balance slack**: partitions may exceed the balanced size by 1 %
   (configurable), enabling more refinement moves.
+- **Size model**: an op weighs 1, except an n-ary ``lo_spn.weighted_sum``
+  which weighs its ``s * k`` weighted terms (what the scalar lowering
+  expands it to); partition sizes, capacities and the spine budget are
+  sums of these weights.
 - **Cost model**: all edges carrying one SSA value from partition ``V_j``
   into partition ``V_i`` have a *combined* cost of 1 — the value is
   stored once in ``V_j``'s task and loaded once in ``V_i``'s task. Values
@@ -42,6 +46,7 @@ the consumers).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -63,10 +68,19 @@ class PartitioningOptions:
 @dataclass
 class PartitioningStats:
     num_partitions: int = 0
+    #: Per partition, the summed :func:`op_size` of its ops.
     partition_sizes: List[int] = field(default_factory=list)
     initial_cut_cost: int = 0
     final_cut_cost: int = 0
     moves_applied: int = 0
+
+
+def op_size(op: Operation) -> int:
+    """Partition-size units of one op: the weighted terms of a sum
+    layer, 1 for everything else."""
+    if op.op_name == lospn.WeightedSumOp.name:
+        return len(op.results) * len(op.operands)
+    return 1
 
 
 class GraphPartitioner:
@@ -82,6 +96,8 @@ class GraphPartitioner:
             op for op in ops if op.op_name != lospn.YieldOp.name
         ]
         self.options = options
+        self.size: Dict[int, int] = {id(op): op_size(op) for op in self.ops}
+        self.total_size = sum(self.size.values())
         # Ops that must stay in the final partition (the root producer, so
         # the kernel's single-row result tensor invariant holds).
         self.pinned_last: Set[int] = {id(op) for op in pinned_last}
@@ -155,17 +171,18 @@ class GraphPartitioner:
         of ops. The spine is users-closed, so pinning it to the final
         partition keeps every edge pointing forward.
         """
-        total = len(self.ops)
+        total = self.total_size
         estimated = max(1, -(-total // self.options.max_partition_size))
         if estimated <= 1 or not self.pinned_last:
             return
         budget = -(-total // estimated)
-        if len(self.pinned_last) >= budget:
+        spine_size = sum(self.size[op_id] for op_id in self.pinned_last)
+        if spine_size >= budget:
             return
         op_set = {id(op): op for op in self.ops}
         closure: Dict[int, int] = {}
         for op in order:  # child-first: producers are sized before users
-            closure[id(op)] = 1 + sum(
+            closure[id(op)] = self.size[id(op)] + sum(
                 closure.get(id(o.defining_op), 0)
                 for o in op.operands
                 if o.defining_op is not None and id(o.defining_op) in op_set
@@ -198,13 +215,14 @@ class GraphPartitioner:
                     producer = operand.defining_op
                     if producer is not None and id(producer) in op_set:
                         consider(producer)
-        while heap and len(spine) < budget:
+        while heap and spine_size < budget:
             _, _, op_id = heapq.heappop(heap)
             if op_id in spine:
                 continue
             if any(id(u) not in spine for u in users[op_id]):
                 continue  # stale entry: a user left the frontier
             spine.add(op_id)
+            spine_size += self.size[op_id]
             for operand in op_set[op_id].operands:
                 producer = operand.defining_op
                 if producer is not None and id(producer) in op_set:
@@ -216,44 +234,50 @@ class GraphPartitioner:
     def _initial_partitioning(self, order: List[Operation]) -> None:
         for position, op in enumerate(order):
             self.position[id(op)] = position
-        if len(self.ops) <= self.options.max_partition_size:
+        if self.total_size <= self.options.max_partition_size:
             self.num_partitions = 1
-            self.sizes = [len(self.ops)]
+            self.sizes = [self.total_size]
             self.capacity = max(
-                1, int(len(self.ops) * (1.0 + self.options.balance_slack))
+                1, int(self.total_size * (1.0 + self.options.balance_slack))
             )
             for op in self.ops:
                 self.assignment[id(op)] = 0
             return
         spine = self.pinned_last
+        spine_size = sum(self.size[op_id] for op_id in spine)
         rest = [op for op in order if id(op) not in spine]
-        total = len(rest)
+        # prefix[i]: summed size of rest[:i].
+        prefix = [0]
+        for op in rest:
+            prefix.append(prefix[-1] + self.size[id(op)])
+        total = prefix[-1]
         max_size = self.options.max_partition_size
         num_rest = max(1, -(-total // max_size)) if total else 0
         target = -(-total // num_rest) if num_rest else 1
         self.capacity = max(
             1,
             int(target * (1.0 + self.options.balance_slack)),
-            len(spine),
+            spine_size,
         )
         clean = self._clean_cuts(rest)
         bounds: List[Tuple[int, int]] = []
         start = 0
-        while start < total:
-            if total - start <= self.capacity:
-                end = total
+        while start < len(rest):
+            if total - prefix[start] <= self.capacity:
+                end = len(rest)
             else:
                 # Snap to the latest clean cut that still fills at least
                 # half the target; fall back to a plain balanced cut.
                 end = None
-                hi = min(start + self.capacity, total) - 1
-                lo = start + max(1, -(-target // 2)) - 1
+                hi = bisect_right(prefix, prefix[start] + self.capacity) - 2
+                lo = bisect_left(prefix, prefix[start] + max(1, -(-target // 2))) - 1
                 for cut in range(hi, lo - 1, -1):
                     if clean[cut]:
                         end = cut + 1
                         break
                 if end is None:
-                    end = start + target
+                    end = bisect_right(prefix, prefix[start] + target) - 1
+                end = max(end, start + 1)  # one oversized op still advances
             bounds.append((start, end))
             start = end
         self.num_partitions = len(bounds) + (1 if spine else 0)
@@ -261,13 +285,13 @@ class GraphPartitioner:
         for partition, (lo, hi) in enumerate(bounds):
             for index in range(lo, hi):
                 self.assignment[id(rest[index])] = partition
-            self.sizes.append(hi - lo)
+            self.sizes.append(prefix[hi] - prefix[lo])
         if spine:
             last = len(bounds)
             for op in self.ops:
                 if id(op) in spine:
                     self.assignment[id(op)] = last
-            self.sizes.append(len(spine))
+            self.sizes.append(spine_size)
 
     def _merge_exportless(self) -> None:
         """Fold partitions that would emit no task into their successor.
@@ -311,7 +335,7 @@ class GraphPartitioner:
         self.num_partitions = sum(exporting)
         self.sizes = [0] * self.num_partitions
         for op in self.ops:
-            self.sizes[self.assignment[id(op)]] += 1
+            self.sizes[self.assignment[id(op)]] += self.size[id(op)]
         self.capacity = max(self.capacity, max(self.sizes))
 
     @staticmethod
@@ -372,7 +396,7 @@ class GraphPartitioner:
     def _move_legal(self, op: Operation, target: int) -> bool:
         if target < 0 or target >= self.num_partitions:
             return False
-        if self.sizes[target] + 1 > self.capacity:
+        if self.sizes[target] + self.size[id(op)] > self.capacity:
             return False
         source = self.assignment[id(op)]
         if target > source:
@@ -417,8 +441,8 @@ class GraphPartitioner:
                         best_target = target
                 if best_target is not None:
                     self.assignment[id(op)] = best_target
-                    self.sizes[source] -= 1
-                    self.sizes[best_target] += 1
+                    self.sizes[source] -= self.size[id(op)]
+                    self.sizes[best_target] += self.size[id(op)]
                     moves_this_round += 1
             self.stats.moves_applied += moves_this_round
             if moves_this_round == 0:

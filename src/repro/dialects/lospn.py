@@ -11,8 +11,12 @@ computation of a query:
 - ``batch_extract``/``batch_read`` and ``batch_collect``/``batch_write``
   make the per-sample memory access pattern explicit on tensors/memrefs
   respectively, and
-- arithmetic is binarized (``mul``/``add`` take exactly two operands) with
-  weighted sums decomposed into mul + add.
+- products are binarized (``mul`` takes exactly two operands), while the
+  weighted sums of a joint/marginal query stay n-ary: one
+  ``lo_spn.weighted_sum`` per group of sums over the same child list (a
+  *sum layer*), carrying the dense weight matrix. The query lowerings
+  that need the individual terms (argmax chains, moment pairs) still
+  decompose their sums into ``mul`` + binary ``add``.
 
 Computation in log space is expressed through the ``!lo_spn.log<T>`` type:
 values of that type *are* stored as ordinary floats holding log
@@ -23,6 +27,8 @@ log-space instruction sequences (add for mul, log-add-exp for add).
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..ir.dialect import Dialect
 from ..ir.ops import Block, IRError, Operation
@@ -438,6 +444,61 @@ class MaxOp(_BinaryArithOp):
 
 
 @lospn.op
+class WeightedSumOp(Operation):
+    """A sum layer: ``s`` weighted sums over one shared list of ``k`` children.
+
+    ``weights`` is a dense ``[s, k]`` matrix of *linear* mixture weights
+    (also for log-typed values); result ``j`` is
+    ``sum_i weights[j, i] * child_i`` in the probability semiring of the
+    value type. An ordinary sum node is a layer of one (``s == 1``); the
+    ``num_sums`` sums of a RAT-SPN region or the class heads of a
+    multi-head kernel share their children and form one op.
+
+    Terms accumulate in child order — a row's result is a function of
+    that row alone, whatever else is in the batch.
+    """
+
+    name = "lo_spn.weighted_sum"
+    traits = frozenset({Trait.PURE})
+
+    @classmethod
+    def build(cls, children: Sequence[Value], weights) -> "WeightedSumOp":
+        children = list(children)
+        weights = np.array(weights, dtype=np.float64, ndmin=2)
+        if not children:
+            raise IRError("lo_spn.weighted_sum requires at least one child")
+        return cls(
+            operands=children,
+            result_types=[children[0].type] * weights.shape[0],
+            attributes={"weights": weights},
+        )
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.attributes["weights"]
+
+    def verify_op(self) -> None:
+        weights = self.attributes.get("weights")
+        if not isinstance(weights, np.ndarray) or weights.ndim != 2:
+            raise IRError("lo_spn.weighted_sum requires a dense [s, k] 'weights'")
+        if weights.shape != (len(self.results), len(self.operands)):
+            raise IRError(
+                f"lo_spn.weighted_sum weights are {weights.shape}, expected "
+                f"({len(self.results)}, {len(self.operands)}) for "
+                f"{len(self.results)} results over {len(self.operands)} children"
+            )
+        if not self.operands or not self.results:
+            raise IRError("lo_spn.weighted_sum requires children and results")
+        if not (np.isfinite(weights).all() and (weights >= 0).all()):
+            raise IRError("lo_spn.weighted_sum weights must be finite and >= 0")
+        ty = self.operands[0].type
+        if any(v.type != ty for v in self.operands) or any(
+            r.type != ty for r in self.results
+        ):
+            raise IRError("lo_spn.weighted_sum children and results must share one type")
+
+
+@lospn.op
 class SelectMaxOp(Operation):
     """Running-argmax select: ``t if a > b else f``.
 
@@ -649,7 +710,9 @@ class ExpOp(Operation):
 
 LEAF_OP_NAMES = frozenset({HistogramOp.name, CategoricalOp.name, GaussianOp.name})
 
-ARITH_OP_NAMES = frozenset({MulOp.name, AddOp.name, MaxOp.name})
+ARITH_OP_NAMES = frozenset(
+    {MulOp.name, AddOp.name, MaxOp.name, WeightedSumOp.name}
+)
 
 #: Ops introduced by the non-joint query lowerings (MPE, sampling,
 #: conditionals, expectations).

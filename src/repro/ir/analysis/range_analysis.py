@@ -15,8 +15,9 @@ are seeded from the *parameters* of the leaf distributions:
 
 Intervals then flow through ``lo_spn.mul`` / ``lo_spn.add`` with the
 type-directed semantics of ``!lo_spn.log<T>`` (mul is interval addition
-in log space, add is log-add-exp) and through ``lo_spn.log`` /
-``lo_spn.exp`` conversions. Plain ``arith`` ops propagate intervals
+in log space, add is log-add-exp), through ``lo_spn.weighted_sum`` (one
+interval per result: the weighted terms of that row folded with the
+same add) and through ``lo_spn.log`` / ``lo_spn.exp`` conversions. Plain ``arith`` ops propagate intervals
 silently — after backend lowering the guarded log-sum-exp expansion
 *intentionally* underflows ``exp(lo - hi)`` for distant operands, so
 only LoSPN-level probability values are judged:
@@ -142,6 +143,7 @@ class RangeAnalysis(DataflowAnalysis):
         {
             "lo_spn.mul",
             "lo_spn.add",
+            "lo_spn.weighted_sum",
             "lo_spn.max",
             "lo_spn.log",
             "lo_spn.exp",
@@ -151,13 +153,33 @@ class RangeAnalysis(DataflowAnalysis):
 
     def transfer(self, op: Operation, state: Any, ctx: AnalysisContext) -> Any:
         self._propagate_taint(op)
-        interval = self._evaluate(op, state)
-        if interval is None:
-            return state
-        result = op.results[0]
-        state[result] = interval
-        self._judge(op, result, interval, ctx)
+        if op.op_name == "lo_spn.weighted_sum":
+            intervals = self._weighted_sums(op, state)
+        else:
+            interval = self._evaluate(op, state)
+            intervals = () if interval is None else (interval,)
+        for result, interval in zip(op.results, intervals):
+            state[result] = interval
+            self._judge(op, result, interval, ctx)
         return state
+
+    def _weighted_sums(self, op: Operation, state: Any):
+        """One interval per result of a sum layer: row ``j`` folds
+        ``weights[j, i] * child_i`` over the children."""
+        children = self._facts(op, state)
+        log = _is_log(op.results[0])
+        intervals = []
+        for row in op.attributes["weights"]:
+            total = None
+            for child, weight in zip(children, row):
+                if log:
+                    term = child.add(Interval.point(_log(float(weight))))
+                    total = term if total is None else total.logaddexp(term)
+                else:
+                    term = child.mul(Interval.point(float(weight)))
+                    total = term if total is None else total.add(term)
+            intervals.append(total)
+        return intervals
 
     def _propagate_taint(self, op: Operation) -> None:
         if not op.results:
@@ -321,6 +343,7 @@ class RangeAnalysis(DataflowAnalysis):
             "lo_spn.histogram",
             "lo_spn.mul",
             "lo_spn.add",
+            "lo_spn.weighted_sum",
             "lo_spn.max",
             "lo_spn.log",
             "lo_spn.exp",

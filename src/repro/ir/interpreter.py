@@ -166,16 +166,20 @@ def _negf(interp, op, env):
     interp._set(op, env, -interp._in(op, env, 0))
 
 
-@op_handler("arith.minf")
-def _minf(interp, op, env):
-    a, b = interp._in(op, env, 0), interp._in(op, env, 1)
-    interp._set(op, env, np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b))
+def _min_max(ufunc):
+    # NaN-propagating for scalars too (Python's min/max are not).
+    def handler(interp, op, env):
+        a, b = interp._in(op, env, 0), interp._in(op, env, 1)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            interp._set(op, env, ufunc(a, b))
+        else:
+            interp._set(op, env, float(ufunc(a, b)))
+
+    return handler
 
 
-@op_handler("arith.maxf")
-def _maxf(interp, op, env):
-    a, b = interp._in(op, env, 0), interp._in(op, env, 1)
-    interp._set(op, env, np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b))
+_DISPATCH["arith.minf"] = _min_max(np.minimum)
+_DISPATCH["arith.maxf"] = _min_max(np.maximum)
 
 
 def _cmp_handler(interp, op, env):
@@ -382,7 +386,38 @@ def _extract_column(interp, op, env):
 
 @op_handler("vector.extract")
 def _vextract(interp, op, env):
-    interp._set(op, env, float(interp._in(op, env, 0)[op.attributes["position"]]))
+    element = interp._in(op, env, 0)[op.attributes["position"]]
+    if isinstance(op.results[0].type, VectorType):
+        interp._set(op, env, element)  # a row of a rank-2 vector
+    else:
+        interp._set(op, env, float(element))
+
+
+@op_handler("vector.stack")
+def _vstack(interp, op, env):
+    # Splats are kept as scalars (see vector.broadcast): widen them here.
+    rows = np.broadcast_arrays(*[env[v] for v in op.operands])
+    interp._set(op, env, np.stack(rows))
+
+
+@op_handler("vector.row_max")
+def _row_max(interp, op, env):
+    interp._set(op, env, np.maximum.reduce(interp._in(op, env, 0), axis=0))
+
+
+@op_handler("vector.contract")
+def _contract(interp, op, env):
+    from ..backends.cpu.codegen import numpy_dtype
+
+    rows = interp._in(op, env, 0)
+    weights = op.attributes["weights"].astype(
+        numpy_dtype(op.results[0].type.element_type)
+    )
+    # Ordered accumulation, as the op is defined (no blocked matmul).
+    acc = weights[:, 0:1] * rows[0]
+    for i in range(1, weights.shape[1]):
+        acc += weights[:, i : i + 1] * rows[i]
+    interp._set(op, env, acc)
 
 
 @op_handler("vector.insert")

@@ -65,7 +65,8 @@ def log_likelihood(root: Node, data: np.ndarray, marginal: Optional[bool] = None
             values[id(node)] = acc
         elif isinstance(node, Sum):
             stacked = np.stack([values[id(c)] for c in node.children], axis=0)
-            log_weights = np.log(np.asarray(node.weights))[:, None]
+            with np.errstate(divide="ignore"):  # a zero weight is log 0 = -inf
+                log_weights = np.log(np.asarray(node.weights))[:, None]
             shifted = stacked + log_weights
             peak = np.max(shifted, axis=0)
             # log-sum-exp with -inf guard: rows where all terms are -inf.

@@ -10,7 +10,9 @@ Three layers:
 - :class:`SPNGenerator` — random valid (complete & decomposable) SPN
   graphs over Gaussian/categorical/histogram leaves, in *balanced*,
   *deep* (long alternating sum/product chains) and *wide* (high-arity
-  mixtures) shapes, plus multi-head lists for classifier kernels;
+  mixtures) shapes, plus multi-head lists for classifier kernels and
+  *sum layers* (several sums over one shared child list, the RAT-SPN
+  region shape);
 - :class:`CaseGenerator` — full differential-test cases: an SPN, a
   query (batch size, input dtype, marginal support, accuracy bound) and
   an input batch seeded with adversarial structure: NaN (marginalized)
@@ -54,6 +56,11 @@ EXTREME_MAGNITUDE = 1.0e4
 
 LEAF_KINDS = ("gaussian", "categorical", "histogram")
 SHAPES = ("balanced", "deep", "wide")
+
+#: (fan-in k, group size s) of the sum-layer cases: both sides of the
+#: stacked-lowering threshold (``s * (k - 1)`` log-adds), a RAT-SPN
+#: region (36 x 6), a class root (144 x 1) and a wide multi-sum group.
+LAYER_SHAPES = ((1, 1), (2, 6), (9, 10), (36, 6), (144, 1), (9, 1), (2, 1), (36, 10))
 
 #: All query modalities the case generator can produce. Every kind is a
 #: pure function of ``(seed, index)`` — the fuzz CLI and the nightly CI
@@ -192,6 +199,34 @@ class SPNGenerator:
         return Sum(children, weights), num_features
 
 
+    def sum_layer(
+        self,
+        fan_in: int,
+        group: int,
+        num_features: int = 2,
+        zero_weights: bool = True,
+    ) -> Tuple[Node, int]:
+        """A sum layer: ``group`` sums over one shared list of ``fan_in``
+        factorized children (the shape of a RAT-SPN region), joined by a
+        root sum when there is more than one. With ``zero_weights``
+        about half of the sums carry one weight that is exactly zero
+        (batch kernels lower those as binary log-adds, the dense ones
+        stacked)."""
+        children: List[Node] = []
+        for _ in range(fan_in):
+            factors = [self.leaf(v) for v in range(num_features)]
+            children.append(Product(factors) if num_features > 1 else factors[0])
+        sums: List[Node] = []
+        for _ in range(group):
+            weights = self.rng.uniform(0.05, 1.0, size=fan_in)
+            if zero_weights and fan_in > 1 and self.rng.random() < 0.5:
+                weights[self.rng.integers(0, fan_in)] = 0.0
+            sums.append(Sum(children, weights))
+        if group == 1:
+            return sums[0], num_features
+        return Sum(sums, self.rng.uniform(0.1, 1.0, size=group)), num_features
+
+
 # --- differential-test cases ---------------------------------------------------
 
 
@@ -295,6 +330,33 @@ class CaseGenerator:
             inputs=inputs,
             label=shape,
             sample_seed=index,
+        )
+
+    def layer_case(self, index: int) -> Case:
+        """A joint case over a sum layer (:data:`LAYER_SHAPES`, cycled by
+        ``index``) — a stream of its own, so the ``query_case`` streams
+        stay what they were."""
+        rng = np.random.default_rng([self.seed, index, 0x1A7E])
+        fan_in, group = LAYER_SHAPES[index % len(LAYER_SHAPES)]
+        spn, num_features = SPNGenerator(rng).sum_layer(fan_in, group)
+        batch_width = int(rng.choice([1, 2, 4, 8, 16, 32]))
+        input_dtype = str(rng.choice(["f32", "f64"]))
+        relative_error = float(rng.choice([0.0, 0.0, 1e-9]))
+        inputs, used_nan = self._inputs(rng, spn, num_features, batch_width)
+        query = JointProbability(
+            support_marginal=used_nan,
+            batch_size=batch_width,
+            input_dtype=input_dtype,
+            relative_error=relative_error,
+        )
+        return Case(
+            seed=self.seed,
+            index=index,
+            spn=spn,
+            num_features=num_features,
+            query=query,
+            inputs=inputs.astype(np.float32 if input_dtype == "f32" else np.float64),
+            label=f"layer {fan_in}x{group}",
         )
 
     def _shape_for_kind(

@@ -182,6 +182,10 @@ class ConfigSpec:
 DEFAULT_CONFIGS: Tuple[ConfigSpec, ...] = (
     ConfigSpec("cpu-o0-scalar", options={"vectorize": "off", "opt_level": 0}),
     ConfigSpec("cpu-o1-lanes", options={"vectorize": "lanes", "opt_level": 1}),
+    # Batch kernels get scratch registers from -O1 on; at -O0 the
+    # sum-layer ops (stack / contract) take their allocating codegen
+    # path, over IR no cleanup pass has touched.
+    ConfigSpec("cpu-o0-batch", options={"vectorize": "batch", "opt_level": 0}),
     ConfigSpec("cpu-o2-batch", options={"vectorize": "batch", "opt_level": 2}),
     ConfigSpec(
         "cpu-o3-partitioned",
@@ -866,6 +870,39 @@ class DifferentialOracle:
         return report
 
 
+    def fuzz_layers(
+        self,
+        count: int,
+        seed: int = 0,
+        start: int = 0,
+        ir: bool = True,
+        report: Optional[FuzzReport] = None,
+    ) -> FuzzReport:
+        """Run ``count`` sum-layer cases (``CaseGenerator.layer_case``).
+
+        The random shapes of :meth:`fuzz` rarely reach the fan-in at
+        which batch kernels switch to the stacked sum lowering; these
+        cases sit on both sides of it, up to a RAT-SPN class root. With
+        ``ir``, each case also goes through the IR fuzzer with the
+        scalar *and* the batch lowering, so ``lo_spn.weighted_sum`` and
+        the rank-2 vector ops are in the round-trip and
+        pass-permutation corpus.
+        """
+        report = report or FuzzReport()
+        generator = CaseGenerator(seed=seed)
+        ir_fuzzer = IRFuzzer(artifact_dir=self.artifact_dir)
+        for index in range(start, start + count):
+            case = generator.layer_case(index)
+            report.cases_run += 1
+            report.divergences.extend(self.check_case(case))
+            if ir:
+                report.ir_failures.extend(
+                    ir_fuzzer.fuzz_case(case, permute=("off", "batch"))
+                )
+        report.configs_compared = self.comparisons
+        return report
+
+
 def _replay_flags(spec: ConfigSpec) -> str:
     options = spec.options
     flags = []
@@ -935,7 +972,11 @@ class IRFuzzer:
         self.artifact_dir = artifact_dir
         self.dump_reproducers = dump_reproducers
 
-    def fuzz_case(self, case: Case) -> List[str]:
+    def fuzz_case(
+        self, case: Case, permute: Sequence[str] = ("off",)
+    ) -> List[str]:
+        """Round-trip one lowering of ``case`` and permute the cleanup
+        passes over each lowering mode in ``permute``."""
         failures: List[str] = []
         rng = np.random.default_rng([case.seed, case.index, 0xFE])
         vectorize = str(rng.choice(["off", "lanes", "batch"]))
@@ -949,7 +990,8 @@ class IRFuzzer:
             self._dump(case, failures[-1], None)
             return failures
         failures.extend(self.check_roundtrip(case, lowered, vectorize))
-        failures.extend(self.check_pass_permutation(case, rng))
+        for mode in permute:
+            failures.extend(self.check_pass_permutation(case, rng, mode))
         return failures
 
     def check_roundtrip(self, case: Case, module, label: str) -> List[str]:
@@ -972,7 +1014,9 @@ class IRFuzzer:
             return [message]
         return []
 
-    def check_pass_permutation(self, case: Case, rng) -> List[str]:
+    def check_pass_permutation(
+        self, case: Case, rng, vectorize: str = "off"
+    ) -> List[str]:
         """A random pass-pipeline permutation must preserve semantics."""
         order = list(PERMUTABLE_PASSES)
         rng.shuffle(order)
@@ -980,8 +1024,10 @@ class IRFuzzer:
         keep = max(1, int(rng.integers(1, len(order) + 1)))
         spec = ",".join(order[:keep])
         try:
-            baseline = run_interpreter(case, INTERPRETER_ROW_LIMIT)
-            module = _lowered_module(case, "off")
+            baseline = _interpret_lowered(
+                _lowered_module(case, vectorize), case, INTERPRETER_ROW_LIMIT
+            )
+            module = _lowered_module(case, vectorize)
             # "every-pass" runs the structural verifier *and* the static
             # analyses (buffer safety, range, lint, concurrency) after
             # each pass, so a pass that produces invalid-but-interpretable
@@ -991,7 +1037,7 @@ class IRFuzzer:
             after = _interpret_lowered(module, case, INTERPRETER_ROW_LIMIT)
         except Exception as error:
             message = (
-                f"{case.name}: pipeline [{spec}] failed: "
+                f"{case.name}: pipeline [{spec}] ({vectorize}) failed: "
                 f"{type(error).__name__}: {error}"
             )
             self._dump(case, message, None)
@@ -1001,8 +1047,8 @@ class IRFuzzer:
         )
         if not match.all():
             message = (
-                f"{case.name}: pipeline [{spec}] changed interpreter "
-                f"results: {after.tolist()} vs {baseline.tolist()}"
+                f"{case.name}: pipeline [{spec}] ({vectorize}) changed "
+                f"interpreter results: {after.tolist()} vs {baseline.tolist()}"
             )
             self._dump(case, message, print_op(module))
             return [message]

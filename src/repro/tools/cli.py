@@ -655,7 +655,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     Generates seeded random SPN/query/input cases, runs each through
     every backend configuration and compares against the reference
     evaluator under calibrated tolerances; interleaves IR print/parse
-    round-trip and pass-permutation fuzzing. Divergences are shrunk,
+    round-trip and pass-permutation fuzzing, and adds one sum-layer case
+    (wide fan-in, shared children) per four generated ones. Divergences
+    are shrunk,
     dumped as reproducers (``--artifact-dir`` / ``$SPNC_ARTIFACT_DIR``)
     and make the command exit non-zero.
     """
@@ -728,6 +730,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         ir_share=0.0 if args.no_ir else 0.25,
         query_kinds=query_kinds,
     )
+    if "joint" in query_kinds:
+        # One sum-layer case per four generated ones: the shapes the
+        # random generator rarely reaches (fan-in 9-144, shared children).
+        oracle.fuzz_layers(
+            -(-args.count // 4),
+            seed=args.seed,
+            start=args.start // 4,
+            ir=not args.no_ir,
+            report=report,
+        )
     print(report.summary())
     return 0 if report.ok else 1
 

@@ -86,7 +86,9 @@ class TestSummaries:
             assert kinds == {"raw"}
 
     def test_dependence_waves_widen_then_join(self):
-        module = _partitioned(_wide_spn(), max_partition_size=6)
+        # Size 4: the 4-term sum layer alone fills the final partition,
+        # each (gaussian, gaussian, product) subtree one of its own.
+        module = _partitioned(_wide_spn(), max_partition_size=4)
         waves = dependence_waves(summarize_kernel(_kernel(module)))
         assert len(waves) == 2
         assert len(waves[0]) >= 3  # all leaf partitions run concurrently

@@ -106,6 +106,44 @@ class TestArithmeticTransfer:
         interval = _intervals(module)[total.results[0]]
         assert math.isclose(interval.hi, math.log(0.75))
 
+    def test_weighted_sum_transfers_one_interval_per_result(self):
+        module, fn, fb, x = _func_with_evidence()
+        a = fb.create(lospn.CategoricalOp, x, [0.5], LOG_F64)
+        b = fb.create(lospn.CategoricalOp, x, [0.25, 0.125], LOG_F64)
+        layer = fb.create(
+            lospn.WeightedSumOp,
+            [a.results[0], b.results[0]],
+            [[0.5, 0.5], [1.0, 0.0]],
+        )
+        fb.create(ReturnOp, [])
+        intervals = _intervals(module)
+        mixed, first_only = (intervals[r] for r in layer.results)
+        assert math.isclose(mixed.lo, math.log(0.5 * 0.5 + 0.5 * 0.125))
+        assert math.isclose(mixed.hi, math.log(0.5 * 0.5 + 0.5 * 0.25))
+        # A zero weight removes its child from the row entirely.
+        assert math.isclose(first_only.lo, math.log(0.5))
+        assert math.isclose(first_only.hi, math.log(0.5))
+
+    def test_linear_weighted_sum_is_a_weighted_interval_sum(self):
+        module, fn, fb, x = _func_with_evidence()
+        a = fb.create(lospn.CategoricalOp, x, [0.5], f64)
+        b = fb.create(lospn.CategoricalOp, x, [0.25, 0.125], f64)
+        layer = fb.create(
+            lospn.WeightedSumOp, [a.results[0], b.results[0]], [[0.2, 0.8]]
+        )
+        fb.create(ReturnOp, [])
+        interval = _intervals(module)[layer.results[0]]
+        assert math.isclose(interval.lo, 0.2 * 0.5 + 0.8 * 0.125)
+        assert math.isclose(interval.hi, 0.2 * 0.5 + 0.8 * 0.25)
+
+    def test_weighted_sum_results_are_judged(self):
+        module, fn, fb, x = _func_with_evidence()
+        tiny = fb.create(lospn.ConstantOp, -800.0, LOG_F64)
+        fb.create(lospn.WeightedSumOp, [tiny.results[0]] * 2, [[0.5, 0.5]] * 2)
+        fb.create(ReturnOp, [])
+        notes = [f for f in _range_findings(module) if f.check == "range.proven-underflow"]
+        assert len(notes) >= 2  # both results of the layer
+
     def test_evidence_reads_are_unknown(self):
         module = ModuleOp.build()
         from repro.ir.types import MemRefType

@@ -227,3 +227,181 @@ class TestVectorRegisterReuse:
         load_lines = [l for l in gen.source.splitlines() if "a0[" in l and "=" in l]
         assert load_lines
         assert all(l.strip().startswith("r") for l in load_lines)
+
+
+class TestImmediates:
+    """Constants and splats of constants are operand text, not statements."""
+
+    def _module(self):
+        from repro.dialects.vector import BroadcastOp, LoadOp as VLoadOp, StoreOp as VStoreOp
+
+        module, b = make_module()
+        vec = VectorType((None,), f32)
+        buf = MemRefType((None,), f32)
+        fn = b.create(FuncOp, "vf", [buf, buf], [])
+        fb = Builder.at_end(fn.body)
+        c0 = fb.create(ConstantOp, 0, index)
+        x = fb.create(VLoadOp, fn.body.arguments[0], [c0.result], vec)
+        weight = fb.create(ConstantOp, -0.25, f32)
+        splat = fb.create(BroadcastOp, weight.result, vec)
+        shifted = fb.create(AddFOp, x.result, splat.result)
+        ninf = fb.create(BroadcastOp, fb.create(ConstantOp, -np.inf, f32).result, vec)
+        total = fb.create(AddFOp, shifted.result, ninf.result)
+        fb.create(VStoreOp, total.result, fn.body.arguments[1], [c0.result])
+        fb.create(ReturnOp, [])
+        return module
+
+    def test_constants_cost_no_statement(self):
+        source = generate_cpu_module(self._module()).source
+        body = [line.strip() for line in source.splitlines()[1:] if line.strip()]
+        # load, add, add, store, return: nothing for 4 constants + 2 splats.
+        assert len(body) == 5
+        assert "(r0 + -0.25)" in source and "_NINF" in source
+        assert "= -0.25" not in source and "= 0" not in source
+
+    def test_values_are_unchanged(self):
+        for reuse in (False, True):
+            gen = generate_cpu_module(self._module(), reuse_vector_registers=reuse)
+            x = np.array([1.0, 2.5], np.float32)
+            out = np.zeros(2, np.float32)
+            gen.get("vf")(x, out)
+            assert np.isneginf(out).all()
+
+    def test_a_broadcast_scalar_register_still_gets_its_own_name(self):
+        """Only immediates are borrowed: a loaded scalar that is splat
+        keeps a register of its own (its source's may be reused)."""
+        from repro.dialects.vector import BroadcastOp, LoadOp as VLoadOp, StoreOp as VStoreOp
+
+        module, b = make_module()
+        vec = VectorType((None,), f64)
+        buf = MemRefType((None,), f64)
+        fn = b.create(FuncOp, "vf", [buf, buf], [])
+        fb = Builder.at_end(fn.body)
+        c0 = fb.create(ConstantOp, 0, index)
+        scalar = fb.create(LoadOp, fn.body.arguments[0], [c0.result])
+        splat = fb.create(BroadcastOp, scalar.result, vec)
+        x = fb.create(VLoadOp, fn.body.arguments[0], [c0.result], vec)
+        total = fb.create(AddFOp, x.result, splat.result)
+        fb.create(VStoreOp, total.result, fn.body.arguments[1], [c0.result])
+        fb.create(ReturnOp, [])
+        gen = generate_cpu_module(module)
+        out = np.zeros(3)
+        gen.get("vf")(np.array([10.0, 1.0, 2.0]), out)
+        assert out.tolist() == [20.0, 11.0, 12.0]
+
+
+class TestMinMax:
+    def _module(self, ty):
+        from repro.dialects.arith import MaxFOp, MinFOp
+        from repro.dialects.vector import LoadOp as VLoadOp, StoreOp as VStoreOp
+
+        module, b = make_module()
+        buf = MemRefType((None,), f64)
+        fn = b.create(FuncOp, "mm", [buf, buf, buf], [])
+        fb = Builder.at_end(fn.body)
+        c0 = fb.create(ConstantOp, 0, index)
+        c1 = fb.create(ConstantOp, 1, index)
+        args = fn.body.arguments
+        if isinstance(ty, VectorType):
+            a = fb.create(VLoadOp, args[0], [c0.result], ty).result
+            b_ = fb.create(VLoadOp, args[1], [c0.result], ty).result
+        else:
+            a = fb.create(LoadOp, args[0], [c0.result]).result
+            b_ = fb.create(LoadOp, args[1], [c0.result]).result
+        hi = fb.create(MaxFOp, a, b_).result
+        lo = fb.create(MinFOp, a, b_).result
+        if isinstance(ty, VectorType):
+            fb.create(VStoreOp, fb.create(SubFOp, hi, lo).result, args[2], [c0.result])
+        else:
+            fb.create(StoreOp, hi, args[2], [c0.result])
+            fb.create(StoreOp, lo, args[2], [c1.result])
+        fb.create(ReturnOp, [])
+        return module
+
+    def test_vector_min_max_write_into_scratch(self):
+        module = self._module(VectorType((None,), f64))
+        gen = generate_cpu_module(module, reuse_vector_registers=True)
+        assert "np.maximum(r0, r1, out=v0)" in gen.source
+        assert "np.minimum(r0, r1, out=v1)" in gen.source
+        pool = gen.buffer_pool
+        a, b = np.array([1.0, 5.0, -2.0]), np.array([3.0, 4.0, -2.0])
+        out = np.zeros(3)
+        gen.get("mm")(a, b, out)
+        warm = pool.allocations
+        gen.get("mm")(a, b, out)
+        assert out.tolist() == [2.0, 1.0, 0.0]
+        assert pool.allocations == warm  # steady state: no fresh arrays
+
+    def test_scalar_min_max_propagate_nan_like_the_ufuncs(self):
+        from repro.ir.interpreter import Interpreter
+
+        module = self._module(f64)
+        kernel = generate_cpu_module(module).get("mm")
+        for a, b in ((1.0, 2.0), (2.0, 1.0), (np.nan, 1.0), (1.0, np.nan), (-np.inf, -np.inf)):
+            out, expected = np.zeros(2), np.zeros(2)
+            kernel(np.array([a]), np.array([b]), out)
+            Interpreter(module).call("mm", np.array([a]), np.array([b]), expected)
+            reference = [np.maximum(a, b), np.minimum(a, b)]
+            np.testing.assert_array_equal(out, reference)
+            np.testing.assert_array_equal(expected, reference)
+
+
+class TestViewsKeepTheirSourceLive:
+    def test_rows_of_a_rank2_register_survive_register_pressure(self):
+        """``vector.extract`` rows are views of a scratch register: it
+        must not be recycled while any row is still to be read."""
+        from repro.dialects.vector import (
+            ContractOp,
+            ExtractOp,
+            LoadOp as VLoadOp,
+            StackOp,
+            StoreOp as VStoreOp,
+        )
+
+        module, b = make_module()
+        vec = VectorType((None,), f64)
+        buf = MemRefType((None,), f64)
+        fn = b.create(FuncOp, "rows", [buf, buf], [])
+        fb = Builder.at_end(fn.body)
+        c0 = fb.create(ConstantOp, 0, index)
+        x = fb.create(VLoadOp, fn.body.arguments[0], [c0.result], vec).result
+        doubled = fb.create(AddFOp, x, x).result
+        rows = fb.create(StackOp, [x, doubled]).result
+        sums = fb.create(ContractOp, np.array([[1.0, 1.0], [1.0, -1.0]]), rows).result
+        first = fb.create(ExtractOp, sums, 0).result   # 3x
+        second = fb.create(ExtractOp, sums, 1).result  # -x
+        # Churn rank-2 registers of the same shape between the views'
+        # definition and their use.
+        churn = fb.create(StackOp, [doubled, doubled]).result
+        churn = fb.create(MulFOp, churn, churn).result
+        churned = fb.create(ExtractOp, fb.create(ExpOp, churn).result, 0).result
+        total = fb.create(AddFOp, fb.create(AddFOp, first, second).result, churned)
+        fb.create(VStoreOp, total.result, fn.body.arguments[1], [c0.result])
+        fb.create(ReturnOp, [])
+
+        x_in = np.array([0.5, 1.0, -1.0])
+        expected = 2 * x_in + np.exp((2 * x_in) ** 2)
+        for reuse in (False, True):
+            gen = generate_cpu_module(module, reuse_vector_registers=reuse)
+            out = np.zeros(3)
+            gen.get("rows")(x_in, out)
+            np.testing.assert_allclose(out, expected)
+
+
+def test_region_of_immediates_only_still_has_a_body():
+    """A loop whose ops all became immediates needs a ``pass``."""
+    module, b = make_module()
+    fn = b.create(FuncOp, "f", [MemRefType((1,), f64)], [])
+    fb = Builder.at_end(fn.body)
+    c0 = fb.create(ConstantOp, 0, index)
+    c3 = fb.create(ConstantOp, 3, index)
+    c1 = fb.create(ConstantOp, 1, index)
+    loop = fb.create(ForOp, c0.result, c3.result, c1.result, [])
+    lb = Builder.at_end(loop.body_block)
+    lb.create(ConstantOp, 2.5, f64)
+    lb.create(YieldOp, [])
+    fb.create(StoreOp, fb.create(ConstantOp, 7.0, f64).result, fn.body.arguments[0], [c0.result])
+    fb.create(ReturnOp, [])
+    out = np.zeros(1)
+    generate_cpu_module(module).get("f")(out)
+    assert out[0] == 7.0

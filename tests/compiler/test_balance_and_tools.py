@@ -9,7 +9,14 @@ from repro.compiler.frontend import build_hispn_module
 from repro.compiler.lower_to_lospn import lower_to_lospn
 from repro.ir import verify
 from repro.ir.pipeline_spec import parse_pipeline, register_pass, registered_passes
-from repro.spn import Gaussian, JointProbability, Product, Sum, log_likelihood
+from repro.spn import (
+    ConditionalProbability,
+    Gaussian,
+    JointProbability,
+    Product,
+    Sum,
+    log_likelihood,
+)
 from repro.spn.visualize import to_dot, write_dot
 
 from ..conftest import make_gaussian_spn
@@ -42,8 +49,16 @@ class TestBalanceChains:
         assert after == 4  # ceil(log2(16))
 
     def test_sum_chain_depth_reduced(self):
-        module = self._lowered(wide_sum(16))
+        # Joint sums are n-ary layers; the conditional lowering still
+        # decomposes its sums into binary add chains.
+        module = lower_to_lospn(
+            build_hispn_module(
+                wide_sum(16),
+                ConditionalProbability(query_variables=(0,), batch_size=8),
+            )
+        )
         before = max_chain_depth(module)
+        assert before == 16  # 1 weighting mul + 15 left-leaning adds
         balance_chains(module)
         verify(module)
         assert max_chain_depth(module) < before

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.compiler.bufferization import bufferize
+from repro.compiler.cpu.lowering import lower_kernel_to_cpu
 from repro.compiler.frontend import build_hispn_module
 from repro.compiler.lower_to_lospn import (
     DEPTH_F64_THRESHOLD,
@@ -51,18 +53,33 @@ class TestStructure:
             for op in ops_named(lowered, name):
                 assert len(op.operands) == 2
 
-    def test_weighted_sum_decomposition(self, lowered):
-        """sum(a, b; w) becomes w1*a + w2*b: 2 constants, 2+2 muls, 1 add."""
-        assert len(ops_named(lowered, "lo_spn.add")) == 1
-        assert len(ops_named(lowered, "lo_spn.constant")) == 2
-        # 2 product nodes (1 mul each) + 2 weight multiplications.
-        assert len(ops_named(lowered, "lo_spn.mul")) == 4
+    def test_sum_becomes_one_weighted_sum(self, lowered):
+        """sum(a, b; w) stays n-ary: one weighted_sum, no constants/adds."""
+        (layer,) = ops_named(lowered, "lo_spn.weighted_sum")
+        assert len(layer.operands) == 2 and len(layer.results) == 1
+        assert ops_named(lowered, "lo_spn.add") == []
+        assert ops_named(lowered, "lo_spn.constant") == []
+        # Only the 2 product nodes multiply (1 mul each).
+        assert len(ops_named(lowered, "lo_spn.mul")) == 2
 
-    def test_log_space_weight_constants(self, lowered):
-        values = sorted(
-            op.attributes["value"] for op in ops_named(lowered, "lo_spn.constant")
+    def test_weights_stay_linear_in_log_space(self, lowered):
+        """The attribute holds mixture weights; emitters take the log."""
+        (layer,) = ops_named(lowered, "lo_spn.weighted_sum")
+        assert isinstance(layer.results[0].type, lospn.LogType)
+        assert layer.weights.tolist() == [[0.3, 0.7]]
+
+    def test_sums_over_one_child_list_share_a_layer(self, query):
+        leaves = [Gaussian(0, float(i), 1.0) for i in range(3)]
+        heads = [Sum(leaves, w) for w in ([0.2, 0.3, 0.5], [0.6, 0.3, 0.1])]
+        other = Sum(leaves[:2], [0.5, 0.5])
+        spn = Sum(heads + [other], [0.25, 0.25, 0.5])
+        lowered = lower_to_lospn(build_hispn_module(spn, query))
+        verify(lowered)
+        shapes = sorted(
+            op.weights.shape for op in ops_named(lowered, "lo_spn.weighted_sum")
         )
-        assert values == pytest.approx([math.log(0.3), math.log(0.7)])
+        # `other` and the root are layers of one; the heads are grouped.
+        assert shapes == [(1, 2), (1, 3), (2, 3)]
 
     def test_batch_extract_per_used_feature(self, lowered):
         extracts = ops_named(lowered, "lo_spn.batch_extract")
@@ -99,7 +116,11 @@ class TestStructure:
         spn.weights = [1.0, 0.0]  # force an exactly-zero weight
         module = build_hispn_module(spn, query)
         lowered = lower_to_lospn(module)
-        values = [op.attributes["value"] for op in ops_named(lowered, "lo_spn.constant")]
+        (layer,) = ops_named(lowered, "lo_spn.weighted_sum")
+        assert layer.weights.tolist() == [[1.0, 0.0]]
+        # The scalar recipe turns the zero weight into a log-space -inf.
+        cpu = lower_kernel_to_cpu(bufferize(lowered))
+        values = [op.attributes["value"] for op in ops_named(cpu, "arith.constant")]
         assert -math.inf in values
 
 

@@ -10,6 +10,7 @@ from repro.compiler.lower_to_lospn import lower_to_lospn
 from repro.compiler.partitioning import (
     GraphPartitioner,
     PartitioningOptions,
+    op_size,
     partition_kernel,
 )
 from repro.dialects import lospn
@@ -45,7 +46,8 @@ class TestPartitionerCore:
         partitioner = GraphPartitioner(ops, options)
         partitioner.run()
         assert all(size <= partitioner.capacity for size in partitioner.sizes)
-        assert sum(partitioner.sizes) == len(ops)
+        # Sizes are in op_size units: a sum layer weighs its s * k terms.
+        assert sum(partitioner.sizes) == sum(op_size(op) for op in ops)
 
     def test_edges_only_go_forward(self, gaussian_spn):
         """The acyclicity invariant: no edge from a later to an earlier
@@ -109,6 +111,50 @@ class TestPartitionerCore:
                     if id(use.owner) in partitioner.assignment
                 } - {part}
                 assert cost == 1 + len(consumers)
+
+
+class TestSumLayerSizes:
+    """A ``lo_spn.weighted_sum`` weighs its ``s * k`` weighted terms."""
+
+    @staticmethod
+    def layer(fan_in=36, group=6):
+        from repro.testing.generators import SPNGenerator
+
+        return SPNGenerator(0).sum_layer(fan_in, group)[0]
+
+    def test_sizes_count_terms_not_ops(self):
+        ops = dag_ops(lowered_module(self.layer()))
+        sizes = [op_size(op) for op in ops]
+        assert sorted(s for s in sizes if s > 1) == [6, 216]
+        partitioner = GraphPartitioner(ops, PartitioningOptions(max_partition_size=100))
+        partitioner.run()
+        assert partitioner.num_partitions > 1  # 150 ops, but 366 units
+        assert sum(partitioner.sizes) == sum(sizes)
+
+    def test_a_layer_larger_than_a_partition_still_makes_progress(self):
+        ops = dag_ops(lowered_module(self.layer()))
+        partitioner = GraphPartitioner(ops, PartitioningOptions(max_partition_size=20))
+        assignment = partitioner.run()
+        assert set(assignment.values()) == set(range(partitioner.num_partitions))
+        for op in ops:
+            for operand in op.operands:
+                producer = operand.defining_op
+                if producer is not None and id(producer) in assignment:
+                    assert assignment[id(producer)] <= assignment[id(op)]
+
+    @pytest.mark.parametrize("max_size", [20, 60, 250])
+    def test_multi_result_layers_cross_partitions(self, max_size, rng):
+        """Individual results of a layer are exported to later tasks."""
+        spn = self.layer(9, 6)
+        x = rng.uniform(-2.0, 3.0, size=(37, 2)).astype(np.float32)
+        ref = log_likelihood(spn, x.astype(np.float64))
+        result = compile_spn(
+            spn,
+            JointProbability(batch_size=16),
+            CompilerOptions(max_partition_size=max_size, verify_each_stage=True),
+        )
+        assert result.num_tasks == result.partitioning.num_partitions
+        np.testing.assert_allclose(result.executable(x), ref, rtol=2e-4, atol=2e-4)
 
 
 class TestKernelRewriting:

@@ -1,5 +1,6 @@
 """Tests for the LoSPN dialect (paper Table II)."""
 
+import numpy as np
 import pytest
 
 from repro.dialects import lospn
@@ -187,6 +188,51 @@ class TestArithmeticOps:
             lospn.ExpOp.build(lin.result)
 
 
+class TestWeightedSum:
+    @staticmethod
+    def children(count, ty=log_f32):
+        return [lospn.ConstantOp.build(-float(i), ty).result for i in range(count)]
+
+    def test_one_result_per_weight_row(self):
+        op = lospn.WeightedSumOp.build(
+            self.children(3), [[0.2, 0.3, 0.5], [0.5, 0.5, 0.0]]
+        )
+        op.verify_op()
+        assert [r.type for r in op.results] == [log_f32, log_f32]
+        assert op.weights.shape == (2, 3)
+        assert op.weights.dtype == np.float64
+
+    def test_a_single_sum_is_a_layer_of_one(self):
+        op = lospn.WeightedSumOp.build(self.children(2), [0.4, 0.6])
+        op.verify_op()
+        assert len(op.results) == 1 and op.weights.tolist() == [[0.4, 0.6]]
+
+    def test_weight_shape_must_match_children_and_results(self):
+        op = lospn.WeightedSumOp.build(self.children(3), [[0.2, 0.3, 0.5]])
+        op.attributes["weights"] = np.ones((1, 2))
+        with pytest.raises(IRError, match="weights are"):
+            op.verify_op()
+        op.attributes["weights"] = np.ones((2, 3))
+        with pytest.raises(IRError, match="weights are"):
+            op.verify_op()
+
+    def test_weights_must_be_finite_and_non_negative(self):
+        for bad in (-0.1, float("nan"), float("inf")):
+            op = lospn.WeightedSumOp.build(self.children(2), [[0.5, bad]])
+            with pytest.raises(IRError, match="finite"):
+                op.verify_op()
+
+    def test_children_must_share_the_result_type(self):
+        mixed = self.children(1) + self.children(1, f32)
+        op = lospn.WeightedSumOp.build(mixed, [[0.5, 0.5]])
+        with pytest.raises(IRError, match="share one type"):
+            op.verify_op()
+
+    def test_requires_children(self):
+        with pytest.raises(IRError):
+            lospn.WeightedSumOp.build([], [[]])
+
+
 class TestLeaves:
     def test_leaf_result_types(self):
         module, _, _, body = build_kernel_with_task()
@@ -210,6 +256,7 @@ class TestLeaves:
             "lo_spn.batch_write",
             "lo_spn.mul",
             "lo_spn.add",
+            "lo_spn.weighted_sum",
             "lo_spn.histogram",
             "lo_spn.categorical",
             "lo_spn.gaussian",

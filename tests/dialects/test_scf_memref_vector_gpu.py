@@ -196,6 +196,82 @@ class TestVector:
             vector.ScalarizedCallOp.build("log", s.result)
 
 
+class TestRank2Vectors:
+    """The sum-layer ops on ``[rows, runtime width]`` vectors."""
+
+    row = VectorType((None,), f32)
+    rows3 = VectorType((3, None), f32)
+
+    def values(self, count, ty=None):
+        return Block([ty or self.row] * count).arguments
+
+    def test_stack_builds_rows(self):
+        op = vector.StackOp.build(self.values(3))
+        assert op.result.type == self.rows3
+        op.verify_op()
+
+    def test_stack_rows_must_share_a_rank1_type(self):
+        mixed = list(self.values(1)) + list(self.values(1, VectorType((None,), f64)))
+        with pytest.raises(IRError, match="share one type"):
+            vector.StackOp.build(mixed)
+        with pytest.raises(IRError, match="rank-1"):
+            vector.StackOp.build(self.values(2, self.rows3))
+        with pytest.raises(IRError):
+            vector.StackOp.build([])
+
+    def test_row_max_drops_the_row_axis(self):
+        (rows,) = self.values(1, self.rows3)
+        op = vector.RowMaxOp.build(rows)
+        assert op.result.type == self.row
+        assert not op.attributes
+        with pytest.raises(IRError, match="rank-2"):
+            vector.RowMaxOp.build(self.values(1)[0])
+
+    def test_contract_applies_a_dense_matrix_to_the_rows(self):
+        (rows,) = self.values(1, self.rows3)
+        op = vector.ContractOp.build(np.ones((2, 3), np.float32), rows)
+        assert op.result.type == VectorType((2, None), f32)
+        assert op.weights.shape == (2, 3)
+
+    def test_contract_weights_must_match_the_rows(self):
+        (rows,) = self.values(1, self.rows3)
+        with pytest.raises(IRError, match="do not match"):
+            vector.ContractOp.build(np.ones((2, 4), np.float32), rows)
+        with pytest.raises(IRError, match="dense"):
+            vector.ContractOp.build(np.ones(3, np.float32), rows)
+
+    def test_broadcast_repeats_a_vector_along_new_rows(self):
+        (vec,) = self.values(1)
+        op = vector.BroadcastOp.build(vec, self.rows3)
+        assert op.result.type == self.rows3
+        with pytest.raises(IRError, match="cannot repeat"):
+            vector.BroadcastOp.build(vec, VectorType((3, None), f64))
+        with pytest.raises(IRError, match="cannot repeat"):
+            vector.BroadcastOp.build(vec, VectorType((3, 8), f32))
+
+    def test_extract_takes_a_row_of_a_rank2_vector(self):
+        (rows,) = self.values(1, self.rows3)
+        op = vector.ExtractOp.build(rows, 2)
+        assert op.result.type == self.row
+        with pytest.raises(IRError, match="outside"):
+            vector.ExtractOp.build(rows, 3)
+
+    def test_ops_verify_inside_a_module(self):
+        module = ModuleOp.build()
+        from repro.dialects import func
+
+        fn = Builder.at_end(module.body).create(
+            func.FuncOp, "f", [self.row, self.row], [self.row]
+        )
+        b = Builder.at_end(fn.body)
+        rows = b.create(vector.StackOp, list(fn.body.arguments)).result
+        peak = b.create(vector.RowMaxOp, rows).result
+        wide = b.create(vector.BroadcastOp, peak, rows.type).result
+        sums = b.create(vector.ContractOp, np.eye(2, dtype=np.float32), wide).result
+        b.create(func.ReturnOp, [b.create(vector.ExtractOp, sums, 0).result])
+        verify(module)
+
+
 class TestGPU:
     def test_module_and_kernels(self):
         gm = gpu.GPUModuleOp.build("kernels")

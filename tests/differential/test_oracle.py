@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import repro.compiler.emitters as emitters
+from repro.compiler import compile_spn
 from repro.spn.inference import log_likelihood
 from repro.spn.nodes import Categorical, Gaussian, Histogram, num_nodes
 from repro.spn.serialization import deserialize_from_file
@@ -199,6 +200,65 @@ class TestDifferentialOracle:
         divergences = oracle.check_case(case)
         assert len(divergences) == 1
         assert "backend exploded" in divergences[0].describe()
+
+
+class TestSumLayerCases:
+    """The sum-layer stream: shapes the random generator rarely reaches."""
+
+    def test_cases_cover_both_sides_of_the_stacking_threshold(self):
+        from repro.testing.generators import LAYER_SHAPES
+
+        generator = CaseGenerator(seed=0)
+        labels = {generator.layer_case(i).label for i in range(len(LAYER_SHAPES))}
+        assert labels == {f"layer {k}x{s}" for k, s in LAYER_SHAPES}
+        fan_ins = {k for k, _ in LAYER_SHAPES}
+        log_adds = {s * (k - 1) for k, s in LAYER_SHAPES}
+        assert min(log_adds) < emitters.STACK_MIN_LOG_ADDS <= max(log_adds)
+        assert {1, 2, 9, 36, 144} <= fan_ins
+        assert {1, 6, 10} <= {s for _, s in LAYER_SHAPES}
+
+    def test_layer_cases_are_reproducible_and_leave_the_main_stream_alone(self):
+        first = CaseGenerator(seed=3).layer_case(5)
+        again = CaseGenerator(seed=3).layer_case(5)
+        assert np.array_equal(first.inputs, again.inputs, equal_nan=True)
+        assert first.query == again.query
+        assert num_nodes(first.spn) == num_nodes(again.spn)
+
+    def test_every_config_agrees_on_the_layer_cases(self, tmp_path):
+        from repro.testing.generators import LAYER_SHAPES
+
+        oracle = DifferentialOracle(artifact_dir=str(tmp_path), shrink=False)
+        report = oracle.fuzz_layers(len(LAYER_SHAPES), seed=0, ir=False)
+        assert report.ok, report.summary()
+        assert report.cases_run == len(LAYER_SHAPES)
+        assert report.configs_compared == len(LAYER_SHAPES) * len(DEFAULT_CONFIGS)
+
+    def test_layer_ops_are_in_the_ir_fuzz_corpus(self, tmp_path):
+        """Round trip + pass permutations over the scalar and the batch
+        lowering of sum-layer cases (weighted_sum, rank-2 vector ops)."""
+        from repro.testing.oracle import _lowered_module
+
+        fuzzer = IRFuzzer(artifact_dir=str(tmp_path))
+        generator = CaseGenerator(seed=1)
+        failures = []
+        for index in (2, 3, 4):  # 9x10, 36x6, 144x1
+            case = generator.layer_case(index)
+            failures.extend(fuzzer.fuzz_case(case, permute=("off", "batch")))
+            batch = _lowered_module(case, "batch")
+            assert any(op.op_name == "vector.contract" for op in batch.walk())
+            failures.extend(fuzzer.check_roundtrip(case, batch, "batch"))
+        assert failures == []
+
+    def test_matrix_covers_the_allocating_batch_codegen_path(self):
+        """-O0 batch kernels have no scratch registers: stack/contract
+        allocate (``np.stack``, ``+=``) instead of writing ``out=``."""
+        spec = next(s for s in DEFAULT_CONFIGS if s.name == "cpu-o0-batch")
+        assert spec.options == {"vectorize": "batch", "opt_level": 0}
+        case = CaseGenerator(seed=0).layer_case(3)  # 36 x 6
+        result = compile_spn(case.spn, case.query, spec.compiler_options())
+        with result.executable as executable:
+            assert "np.stack(" in executable.source
+            assert "out=" not in executable.source
 
 
 class TestIRFuzzer:

@@ -143,6 +143,30 @@ class TestZeroSteadyStateAllocations:
                     assert arena.allocations <= len(arena.slots)
 
 
+    def test_rank2_scratch_kernel_is_allocation_free(self):
+        """A sum-layer kernel keeps its stacked children in rank-2
+        ``out=`` scratch drawn from the pool; full chunks, a tail chunk
+        and single rows all reuse it once it has been sized."""
+        from repro.testing.generators import SPNGenerator
+
+        spn, _ = SPNGenerator(0).sum_layer(36, 6)
+        result = compile_spn(
+            spn,
+            JointProbability(batch_size=64),
+            CompilerOptions(vectorize="batch", opt_level=2),
+        )
+        with result.executable as kernel:
+            assert ".reshape(36, _n)" in kernel.source  # rank-2 scratch
+            pool = kernel.buffer_pool
+            inputs = np.random.default_rng(3).normal(size=(64 * 3 + 17, 2))
+            kernel.execute(inputs)  # sizes every slot
+            warm, served = pool.allocations, pool.requests
+            for rows in (64 * 3 + 17, 64, 17, 1):
+                kernel.execute(inputs[:rows])
+            assert pool.allocations == warm
+            assert pool.requests > served
+
+
 class TestLeakFreeShutdown:
     def test_close_releases_every_arena(self):
         pool = BufferPool()

@@ -26,17 +26,24 @@ def _wide_spn(width=4):
     return Sum(products, [1.0 / width] * width)
 
 
-def _compile(spn, **options):
+def _compile(spn, max_partition_size=6, **options):
     return compile_spn(
         spn,
         JointProbability(batch_size=64),
-        CompilerOptions(vectorize="batch", max_partition_size=6, **options),
+        CompilerOptions(
+            vectorize="batch", max_partition_size=max_partition_size, **options
+        ),
     )
 
 
 class TestPlanGating:
     def test_plan_attached_only_when_disjointness_is_proven(self):
-        result = _compile(_wide_spn(), partition_parallel=True, num_threads=4)
+        # Size 4: the 4-term sum layer fills the final partition, each
+        # (gaussian, gaussian, product) subtree one of its own.
+        result = _compile(
+            _wide_spn(), max_partition_size=4, partition_parallel=True,
+            num_threads=4,
+        )
         ex = result.executable
         try:
             plan = ex.parallel_plan

@@ -115,120 +115,47 @@ def write_bench_json(name: str, payload: dict, merge: bool = False) -> str:
     return path
 
 
-def _lpt_makespan(durations: List[float], workers: int) -> float:
-    """Makespan of a longest-processing-time list schedule.
-
-    Mirrors the runtime's chunk plan (uniform chunks, tail last): sort
-    descending, always assign to the least-loaded worker.
-    """
-    loads = [0.0] * max(1, workers)
-    for duration in sorted(durations, reverse=True):
-        loads[loads.index(min(loads))] += duration
-    return max(loads)
-
-
 def scaling_curve(
     make_executable: Callable[[int], object],
     inputs: np.ndarray,
     workers=(1, 2, 4, 8),
-    batch_hint: Optional[int] = None,
 ) -> dict:
     """Thread-count → throughput curve for the sharded batch executor.
 
     ``make_executable(w)`` must return a compiled executable whose
     kernel was built with ``num_threads=w``; every executable this
-    opens is closed before returning. Points where the host has at
-    least ``w`` cores are **measured** wall-clock. Where it does not (a
-    laptop or 1-core CI box cannot *measure* 8-way scaling), the point
-    is **modeled** in the same native-equivalent "calibration units"
-    the gpusim uses (see its module docs): a Python-ISA kernel call
-    splits into a row-*independent* interpreter pass (one NumPy-call
-    dispatch per SPN op — an artifact of Python as the ISA; a native
-    SPNC kernel pays a plain function call instead) and the
-    row-*proportional* vectorized compute, which releases the GIL and
-    is what actually shards. Both terms are measured on the
-    single-thread executable; the model charges the interpreter pass
-    once as the Amdahl serial term and list-schedules the per-chunk
-    compute (the exact ``plan_chunks`` decomposition) onto ``w``
-    workers. The modeled 1-worker time reproduces the measured
-    single-call wall from the same two parameters, which is the model's
-    calibration check; each point records its ``mode`` so BENCH
-    consumers can tell measurement from model.
+    opens is closed before returning. Every point is measured
+    wall-clock: worker counts above the host's core count
+    (``os.cpu_count()``) are left out rather than extrapolated.
     """
-    from repro.runtime.threadpool import plan_chunks
-
     host_cores = os.cpu_count() or 1
     rows = int(inputs.shape[0])
-    workers = tuple(sorted(set(int(w) for w in workers)))
-    if not workers or workers[0] != 1:
-        workers = (1,) + workers
+    workers = sorted({1, *(int(w) for w in workers if int(w) <= host_cores)})
 
-    ex1 = make_executable(1)
-    opened = [ex1]
-    params: Dict[str, float] = {}
-
+    opened = []
     try:
-        wall_1 = float(time_callable(lambda: ex1.execute(inputs)))
-        hint = min(int(batch_hint or ex1.signature.batch_size), rows)
-
-        def model_params():
-            if not params:
-                # One-row call ≈ the pure interpreter pass; the marginal
-                # row cost falls out of a hint-wide call.
-                fixed = float(time_callable(lambda: ex1.execute(inputs[:1])))
-                full = float(time_callable(lambda: ex1.execute(inputs[:hint])))
-                params["fixed"] = fixed
-                params["marginal"] = max((full - fixed) / hint, 1e-12)
-            return params["fixed"], params["marginal"]
-
         points: Dict[str, dict] = {}
+        wall_1 = 0.0
         for w in workers:
+            ex = make_executable(w)
+            opened.append(ex)
+            seconds = float(time_callable(lambda: ex.execute(inputs)))
             if w == 1:
-                mode, seconds, baseline = "measured", wall_1, wall_1
-            elif host_cores >= w:
-                ex = make_executable(w)
-                opened.append(ex)
-                seconds = float(time_callable(lambda: ex.execute(inputs)))
-                mode, baseline = "measured", wall_1
-            else:
-                fixed, marginal = model_params()
-                works = [
-                    (end - start) * marginal
-                    for start, end in plan_chunks(rows, hint, w)
-                ]
-                seconds = fixed + _lpt_makespan(works, w)
-                # Same-model baseline keeps modeled speedups internally
-                # consistent even where it drifts from the measured wall.
-                mode, baseline = "modeled", fixed + rows * marginal
-            speedup = baseline / seconds if seconds > 0 else 0.0
+                wall_1 = seconds
+            speedup = wall_1 / seconds if seconds > 0 else 0.0
             points[str(w)] = {
-                "mode": mode,
                 "seconds": seconds,
                 "samples_per_second": rows / seconds if seconds > 0 else 0.0,
                 "speedup": speedup,
                 "efficiency": speedup / w,
             }
-        curve = {
+        return {
             "host_cores": host_cores,
             "rows": rows,
-            "chunk_hint": hint,
+            "chunk_hint": min(int(opened[0].signature.batch_size), rows),
             "measured_single_thread_seconds": wall_1,
             "workers": points,
-            "note": (
-                "modeled points (host_cores < w): native-equivalent "
-                "calibration — measured row-independent interpreter pass "
-                "charged once (Amdahl serial term) + measured "
-                "row-proportional vector compute list-scheduled over the "
-                "plan_chunks decomposition; measured points are wall-clock"
-            ),
         }
-        if params:
-            curve["model"] = {
-                "serial_seconds": params["fixed"],
-                "per_row_seconds": params["marginal"],
-                "baseline_seconds": params["fixed"] + rows * params["marginal"],
-            }
-        return curve
     finally:
         for ex in opened:
             ex.close()

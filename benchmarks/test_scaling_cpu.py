@@ -9,11 +9,10 @@ kernel (the reproduction's headline CPU configuration), recorded into
 Two distinct claims, with distinct evidence:
 
 - **The curve** (``test_scaling_curve``): via
-  :func:`common.scaling_curve` — measured wall-clock where the host has
-  the cores, otherwise modeled from contention-free per-chunk timings
-  on an LPT schedule (each point labels its ``mode``). The acceptance
-  shape — ≥1.5× at 2 workers, monotone gains through 4 — must hold on
-  every host.
+  :func:`common.scaling_curve` — measured wall-clock at every worker
+  count the host has cores for; larger counts are left out, never
+  modeled. The acceptance shape — ≥1.5× at 2 workers and monotone
+  gains — is asserted on the points the host measured.
 - **The CI gate** (``test_scaling_gate``): a *measured-only* regression
   tripwire. Enabled with ``REPRO_SCALING_GATE=1`` on hosts with ≥2
   cores (the CI perf job), it fails if 2-thread wall-clock throughput
@@ -32,7 +31,8 @@ from repro.spn import JointProbability
 
 from .common import FigureReport, scaling_curve, speaker_workload, write_bench_json
 
-#: Worker counts for the recorded curve (acceptance: monotone to >= 4).
+#: Worker counts for the recorded curve (those above the host's core
+#: count are skipped).
 WORKERS = (1, 2, 4, 8)
 
 #: Compiled chunk hint: wide enough that per-chunk Python dispatch is
@@ -77,19 +77,18 @@ def test_scaling_curve(benchmark):
     curve = scaling_curve(_make_executable(spn), inputs, workers=WORKERS)
     benchmark(lambda: None)  # timings happen inside scaling_curve
 
-    for w in WORKERS:
-        point = curve["workers"][str(w)]
-        report.add(f"{w} workers ({point['mode']})", point["speedup"])
+    speedups = {int(w): point["speedup"] for w, point in curve["workers"].items()}
+    for w, speedup in speedups.items():
+        report.add(f"{w} workers", speedup)
     report.note(f"host cores: {curve['host_cores']}, rows: {curve['rows']}")
-    report.note(curve["note"])
 
-    speedups = {w: curve["workers"][str(w)]["speedup"] for w in WORKERS}
-    # Acceptance: >= 1.5x at 2 workers, monotone gains through 4.
-    assert speedups[2] >= 1.5
-    assert speedups[2] > speedups[1]
-    assert speedups[4] > speedups[2]
+    # Acceptance on the measured points: >= 1.5x at 2 workers, monotone.
+    if 2 in speedups:
+        assert speedups[2] >= 1.5
+    ordered = [speedups[w] for w in sorted(speedups)]
+    assert all(fewer < more for fewer, more in zip(ordered, ordered[1:]))
 
-    efficiency = curve["workers"][str(max(WORKERS))]["efficiency"]
+    efficiency = curve["workers"][str(max(speedups))]["efficiency"]
     path = write_bench_json(
         "cpu",
         {"scaling": curve, "parallel_efficiency": efficiency},

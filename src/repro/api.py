@@ -30,9 +30,10 @@ defect to the caller:
   :class:`~repro.diagnostics.CompilerError`\\ s naming the failing
   pass/stage, with a reproducer dumped to the artifact directory.
 - ``"interpret"``: on any compile-stage, codegen or execution failure,
-  fall back down the cascade — GPU kernel → CPU kernel → reference
-  interpreter (:mod:`repro.spn.inference`) — recording diagnostics and
-  emitting a single :class:`FallbackWarning` per degraded model.
+  fall back down the degradation ladder (:mod:`repro.runtime.ladder`)
+  — GPU kernel → CPU kernel → reference interpreter — with no retries,
+  recording diagnostics and emitting a single :class:`FallbackWarning`
+  per degraded model.
 - ``"warn"``: same cascade, but warns on *every* degraded call instead
   of deduplicating per model.
 """
@@ -40,10 +41,11 @@ defect to the caller:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import warnings
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -57,8 +59,7 @@ from .diagnostics import (
     Severity,
     diagnostic_from_exception,
 )
-from .spn import inference, sampling
-from .spn.mpe import mpe as reference_mpe
+from .runtime import ladder
 from .spn.nodes import Node
 from .spn.query import (
     ConditionalProbability,
@@ -156,7 +157,6 @@ class _CompilerBase:
             opt_level=self.opt_level,
             max_partition_size=self.max_partition_size,
             use_log_space=self.use_log_space,
-            fallback=self.fallback,
             artifact_dir=self.artifact_dir,
             **self.target_options,
         )
@@ -370,121 +370,55 @@ class _CompilerBase:
     ) -> np.ndarray:
         """Compile (cached) + execute, honoring the fallback policy."""
         if self.fallback == "raise":
-            result = self._compile_cached(spn, query, self.target)
-            return self._execute(result, inputs, query, seed)
-        return self._degradable_run(spn, inputs, query, seed)
+            return self._execute(spn, inputs, query, seed, self.target)
+        targets = ("gpu", "cpu") if self.target == "gpu" else ("cpu",)
+        landing = ladder.run(
+            [
+                (target, functools.partial(self._execute, spn, inputs, query, seed, target))
+                for target in targets
+            ],
+            spn,
+            inputs,
+            query,
+            retry=ladder.RetryPolicy(),
+            seed=seed,
+            use_log_space=self.use_log_space,
+        )
+        if landing.failures:
+            self._announce_fallback(spn, landing)
+        return landing.output
 
-    @staticmethod
     def _execute(
-        result: CompilationResult,
+        self,
+        spn,
         inputs: np.ndarray,
         query: Query,
         seed: Optional[int],
+        target: str,
     ) -> np.ndarray:
+        executable = self._compile_cached(spn, query, target).executable
         if query.kind == "sample":
-            return result.executable.execute(inputs, seed=seed)
-        return result.executable(inputs)
+            return executable.execute(inputs, seed=seed)
+        return executable(inputs)
 
-    def _degradable_run(
-        self, spn, inputs: np.ndarray, query: Query, seed: Optional[int] = None
-    ) -> np.ndarray:
-        cascade = ["gpu", "cpu"] if self.target == "gpu" else ["cpu"]
-        failures: List[Diagnostic] = []
-        for rung, target in enumerate(cascade):
-            try:
-                result = self._compile_cached(spn, query, target)
-                output = self._execute(result, inputs, query, seed)
-                self._check_output(output, query, target)
-            except Exception as error:
-                if self._is_caller_error(error):
-                    # Malformed input (e.g. NaN on a conditional query
-                    # variable) is the caller's bug, not a compiler
-                    # defect: degrading to a slower rung cannot fix it,
-                    # so surface the structured error immediately.
-                    raise
-                failures.append(self._record_failure(error, target))
-                continue
-            if rung > 0:
-                self._announce_fallback(spn, failures, landed=f"{target} kernel")
-            return output
-        output = self._interpret(spn, inputs, query, seed)
-        self._announce_fallback(spn, failures, landed="reference interpreter")
-        return output
-
-    @staticmethod
-    def _is_caller_error(error: BaseException) -> bool:
-        diagnostic = getattr(error, "diagnostic", None)
-        return diagnostic is not None and diagnostic.code == ErrorCode.QUERY_NAN
-
-    def _check_output(self, output: np.ndarray, query: Query, target: str) -> None:
-        """Reject NaN kernel results (a codegen/runtime defect signal).
-
-        -inf is a legitimate log probability of zero; NaN never is —
-        even for marginal queries, NaN *inputs* must not leak through to
-        the result. Conditionals and expectations are exempt: there NaN
-        is a defined answer (zero-probability evidence, features outside
-        the model scope). Only consulted on the degradable path,
-        preserving strict ``fallback="raise"`` semantics.
-        """
-        if query.kind in ("conditional", "expectation"):
-            return
-        if np.isnan(output).any():
-            from .diagnostics import ExecutionError
-
-            raise ExecutionError(
-                f"compiled {target} kernel produced NaN results",
-                diagnostic=Diagnostic(
-                    severity=Severity.ERROR,
-                    code=ErrorCode.KERNEL_NAN,
-                    message=f"compiled {target} kernel produced NaN results",
-                    stage="execute",
-                    target=target,
-                ),
+    def _announce_fallback(self, spn, landing: ladder.Landing) -> None:
+        """Record each failed rung, then warn where the ladder landed."""
+        failures = [
+            diagnostic_from_exception(
+                error, code=ErrorCode.EXECUTION_FAILED, target=target
             )
-
-    def _record_failure(self, error: BaseException, target: str) -> Diagnostic:
-        diagnostic = diagnostic_from_exception(
-            error, code=ErrorCode.EXECUTION_FAILED, target=target
+            for target, error in landing.failures
+        ]
+        for diagnostic in failures:
+            self.diagnostics.emit(diagnostic)
+        first = failures[0]
+        stage = first.stage or first.pass_name
+        where = f" (failed at '{stage}')" if stage else ""
+        landed = (
+            "reference interpreter"
+            if landing.degraded
+            else f"{landing.rung} kernel"
         )
-        self.diagnostics.emit(diagnostic)
-        return diagnostic
-
-    def _interpret(
-        self, spn, inputs: np.ndarray, query: Query, seed: Optional[int] = None
-    ) -> np.ndarray:
-        """Reference-evaluator rung, shaped like the compiled kernel output."""
-        data = np.asarray(inputs, dtype=np.float64)
-        if query.kind == "mpe":
-            completions, scores = reference_mpe(spn, data)
-            if not self.use_log_space:
-                scores = np.exp(scores)
-            return np.concatenate([scores[None, :], completions.T], axis=0)
-        if query.kind == "sample":
-            rng = np.random.default_rng(0 if seed is None else seed)
-            return sampling.conditional_sample(spn, data, rng).T
-        if query.kind == "conditional":
-            return inference.conditional_log_likelihood(
-                spn, data, query.query_variables
-            )
-        if query.kind == "expectation":
-            return inference.expectation(spn, data, moment=query.moment).T
-        if isinstance(spn, (list, tuple)):
-            output = np.stack(
-                [inference.log_likelihood(s, data) for s in spn], axis=0
-            )
-        else:
-            output = inference.log_likelihood(spn, data)
-        return output if self.use_log_space else np.exp(output)
-
-    def _announce_fallback(
-        self, spn, failures: List[Diagnostic], landed: str
-    ) -> None:
-        first = failures[0] if failures else None
-        where = ""
-        if first is not None:
-            stage = first.stage or first.pass_name
-            if stage:
-                where = f" (failed at '{stage}')"
         message = (
             f"{type(self).__name__}: compiled execution degraded to the "
             f"{landed}{where}; results remain correct but slower. "
@@ -495,12 +429,12 @@ class _CompilerBase:
                 severity=Severity.WARNING,
                 code=(
                     ErrorCode.FALLBACK_INTERPRETER
-                    if "interpreter" in landed
+                    if landing.degraded
                     else ErrorCode.FALLBACK_CPU
                 ),
                 message=message,
-                stage=first.stage if first else None,
-                pass_name=first.pass_name if first else None,
+                stage=first.stage,
+                pass_name=first.pass_name,
                 target=self.target,
                 detail={"landed": landed, "failures": len(failures)},
             )

@@ -167,7 +167,6 @@ class CompilerOptions:
     pipeline: Optional[str] = None
     # Diagnostics.
     collect_ir: bool = False
-    verify_each_stage: bool = False
     #: Static-analysis instrumentation level (see repro.ir.analysis):
     #: "off" (default), "structural" (IR verifier after every pass, no
     #: analyses), "boundaries" (verifier + the registered checks —
@@ -177,12 +176,6 @@ class CompilerOptions:
     #: ERROR findings abort compilation with a StageError; WARNING/NOTE
     #: findings are collected on CompilationResult.analysis_findings.
     verify_each: str = "off"
-    #: Degradation policy when a compile stage, codegen or execution
-    #: fails: "raise" propagates a structured CompilerError (the default,
-    #: preserving strict semantics), "interpret" transparently falls back
-    #: to the reference evaluator (warning once per model), "warn" does
-    #: the same but warns on every degraded call.
-    fallback: str = "raise"
     #: Directory for reproducer dumps on failure; ``None`` resolves via
     #: ``$SPNC_ARTIFACT_DIR`` / the system temp dir (see
     #: :func:`repro.diagnostics.artifact_directory`).
@@ -199,15 +192,6 @@ class CompilerOptions:
             raise OptionsError(str(error)) from None
         if self.vector_isa not in ISAS:
             raise OptionsError(f"unknown vector ISA '{self.vector_isa}'")
-        if self.fallback not in ("raise", "interpret", "warn"):
-            raise OptionsError(
-                f"unknown fallback policy '{self.fallback}' "
-                "(expected 'raise', 'interpret' or 'warn')"
-            )
-        if self.verify_each is True:  # bool back-compat
-            self.verify_each = "boundaries"
-        elif self.verify_each is False or self.verify_each is None:
-            self.verify_each = "off"
         if self.verify_each not in ("off", "structural", "boundaries", "every-pass"):
             raise OptionsError(
                 f"unknown verify_each mode '{self.verify_each}' "
@@ -326,13 +310,6 @@ class CompilerOptions:
             return Expectation(moment=self.moment)
         return QUERY_KINDS[self.query]()
 
-    def verify_mode(self) -> str:
-        """The effective PassManager ``verify_each`` mode: the analysis
-        level when set, else structural when the legacy bool asked."""
-        if self.verify_each != "off":
-            return self.verify_each
-        return "structural" if self.verify_each_stage else "off"
-
 
 @dataclass
 class CompilationResult:
@@ -394,7 +371,7 @@ def compile_spn(
             pass_.bind(root, query)
 
     manager = PassManager(
-        verify_each=options.verify_mode(),
+        verify_each=options.verify_each,
         artifact_dir=options.artifact_dir,
         collect_ir=options.collect_ir,
     )

@@ -62,7 +62,6 @@ class ErrorCode:
     KERNEL_NAN = "kernel-nan"
     DEVICE_OOM = "device-oom"
     DEVICE_OOM_RETRY = "device-oom-retry"
-    CHUNK_RETRY = "chunk-retry"
     FALLBACK_CPU = "fallback-cpu-kernel"
     FALLBACK_INTERPRETER = "fallback-interpreter"
     FAULT_INJECTED = "fault-injected"
@@ -140,8 +139,8 @@ def diagnostic_context(**fields: Any):
     """Annotate all diagnostics emitted inside the block.
 
     The serving runtime wraps each request/batch in
-    ``diagnostic_context(request_id=..., model=...)`` so a chunk-retry
-    warning deep inside the runtime can be traced back to the request
+    ``diagnostic_context(request_id=..., model=...)`` so a kernel
+    failure deep inside the runtime can be traced back to the request
     that triggered it. Nested contexts merge (inner wins on key clash).
     """
     merged = dict(_DIAGNOSTIC_CONTEXT.get())

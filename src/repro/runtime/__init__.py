@@ -1,11 +1,11 @@
-"""Runtime component: kernel loading, chunking, multi-threading."""
+"""Runtime component: kernel loading, chunking, multi-threading, degradation."""
 
 from .bufferpool import Arena, BufferPool
 from .executable import CPUExecutable, Executable, KernelSignature
+from .ladder import RetryPolicy
 from .threadpool import (
     MIN_PROFITABLE_CHUNK,
     ChunkedExecutor,
-    RetryPolicy,
     ShardRecord,
     ShardTimeline,
     chunk_ranges,

@@ -39,14 +39,13 @@ import numpy as np
 from ..backends.cpu.codegen import GeneratedModule, numpy_dtype
 from ..diagnostics import (
     Diagnostic,
-    DiagnosticLog,
     ErrorCode,
     ExecutableClosedError,
     Severity,
 )
 from ..ir.types import Type
 from ..testing import faults
-from .threadpool import ChunkedExecutor, RetryPolicy, ShardTimeline, plan_chunks
+from .threadpool import ChunkedExecutor, ShardTimeline, plan_chunks
 
 
 @dataclass
@@ -83,9 +82,6 @@ class Executable:
     def __init__(self, entry_name: str, signature: KernelSignature):
         self.entry_name = entry_name
         self.signature = signature
-        #: Structured runtime events (chunk retries, ...) observed by
-        #: this executable; shared with the ChunkedExecutor.
-        self.diagnostics = DiagnosticLog()
         self._closed = False
         self._inflight = 0
         self._lifecycle = threading.Condition()
@@ -204,20 +200,12 @@ class CPUExecutable(Executable):
         entry_name: str,
         signature: KernelSignature,
         num_threads: int = 1,
-        max_chunk_retries: int = 0,
-        retry_policy: Optional[RetryPolicy] = None,
         parallel_plan: Optional[dict] = None,
     ):
         super().__init__(entry_name, signature)
         self.generated = generated
         self.entry = generated.get(entry_name)
         self.num_threads = num_threads
-        #: Bounded per-chunk retry budget for transient execution faults
-        #: (0 preserves strict fail-immediately semantics).
-        self.max_chunk_retries = max_chunk_retries
-        #: Full bounded-backoff retry policy; defaults to immediate
-        #: retries with the ``max_chunk_retries`` budget.
-        self.retry_policy = retry_policy or RetryPolicy(max_retries=max_chunk_retries)
         self._executor = ChunkedExecutor(num_threads) if num_threads > 1 else None
         #: Shard timeline of the most recent multi-threaded execution
         #: (worker names + per-chunk intervals; observability/benchmarks).
@@ -319,9 +307,7 @@ class CPUExecutable(Executable):
                 len(wave),
                 1,
                 lambda start, end, wave=wave: run_tasks(start, end, wave=wave),
-                retry_policy=self.retry_policy,
                 deadline=deadline,
-                diagnostics=self.diagnostics,
                 ranges=[(i, i + 1) for i in range(len(wave))],
             )
 
@@ -367,9 +353,7 @@ class CPUExecutable(Executable):
                     n,
                     sig.batch_size,
                     run_chunk,
-                    retry_policy=self.retry_policy,
                     deadline=deadline,
-                    diagnostics=self.diagnostics,
                     ranges=ranges,
                     timeline=timeline,
                 )

@@ -6,20 +6,17 @@ optimization hint") and processes chunks on a thread pool.
 
 Robustness: when a chunk raises, the executor *fails fast* — every
 not-yet-started chunk is cancelled so a poisoned batch does not keep
-burning worker time — and failed or cancelled chunks are re-run inline
-under a bounded :class:`RetryPolicy` (attempts, exponential backoff,
-jitter). Retries target transient faults (the fault-injection suite
-simulates them); a deterministically-failing chunk exhausts its budget
-and re-raises the last error. Each retry is recorded as a structured
-:class:`~repro.diagnostics.Diagnostic` (code ``chunk-retry``) when the
-caller supplies a :class:`~repro.diagnostics.DiagnosticLog`.
+burning worker time — and the first error propagates. Retrying is not
+the executor's job: callers that want it run the whole execution as a
+rung of :mod:`repro.runtime.ladder`.
 
 Deadlines: :meth:`ChunkedExecutor.run` accepts an absolute ``deadline``
-(``time.monotonic()`` timestamp). Chunks are not started — and retries
-not slept — past the deadline; instead a structured
-:class:`~repro.diagnostics.DeadlineError` is raised. The serving
-runtime propagates per-request deadlines down to this point so a slow
-batch fails bounded rather than late.
+(``time.monotonic()`` timestamp). Chunks are not started past the
+deadline; instead a structured
+:class:`~repro.diagnostics.DeadlineError` is raised. This is the only
+place a deadline can stop a sharded batch midway: the serving runtime
+propagates per-request deadlines down to it so a slow batch fails
+bounded rather than late.
 
 Honesty note (DESIGN.md): with Python as the ISA, scalar kernels hold
 the GIL, so threading over them is structural only. Batch-vectorized
@@ -31,20 +28,13 @@ off in this reproduction.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..diagnostics import (
-    DeadlineError,
-    Diagnostic,
-    DiagnosticLog,
-    ErrorCode,
-    Severity,
-)
+from ..diagnostics import DeadlineError, Diagnostic, ErrorCode, Severity
 
 
 def chunk_ranges(total: int, chunk_size: int) -> List[Tuple[int, int]]:
@@ -152,44 +142,6 @@ class ShardTimeline:
         return sorted({r.worker for r in self.records})
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff and jitter.
-
-    ``max_retries=0`` preserves strict fail-immediately semantics.
-    ``backoff_base=0`` retries immediately (the pre-policy behaviour);
-    otherwise attempt *n* (0-based) sleeps
-    ``min(backoff_base * 2**n, backoff_max)`` scaled by a uniform
-    ``±jitter`` fraction so synchronized callers do not retry in
-    lock-step (thundering herd).
-    """
-
-    max_retries: int = 0
-    backoff_base: float = 0.0
-    backoff_max: float = 0.25
-    jitter: float = 0.1
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff must be >= 0")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-
-    def delay(self, attempt: int, rng: Optional[random.Random] = None) -> float:
-        """Backoff delay in seconds before retry ``attempt`` (0-based)."""
-        if self.backoff_base <= 0.0:
-            return 0.0
-        base = min(self.backoff_base * (2.0 ** attempt), self.backoff_max)
-        if self.jitter:
-            scale = (rng.uniform if rng else random.uniform)(
-                1.0 - self.jitter, 1.0 + self.jitter
-            )
-            base *= scale
-        return base
-
-
 def _deadline_error(start: int, end: int, deadline: float) -> DeadlineError:
     message = (
         f"deadline exceeded before chunk [{start}, {end}) completed "
@@ -207,30 +159,13 @@ def _deadline_error(start: int, end: int, deadline: float) -> DeadlineError:
     )
 
 
-@dataclass
-class _RunState:
-    """Per-run mutable state (diagnostics sink + counters).
-
-    Kept local to each :meth:`ChunkedExecutor.run` call so concurrent
-    runs on a shared executor (e.g. multiple batcher workers over one
-    executable) cannot cross-wire retry diagnostics or corrupt each
-    other's counters.
-    """
-
-    diagnostics: Optional[DiagnosticLog] = None
-    retries: int = 0
-    cancelled: int = 0
-
-
 class ChunkedExecutor:
     """Runs a per-chunk callable over the batch, optionally in parallel.
 
     Attributes (for observability and tests):
-        last_run_retries: retry attempts of the most recently *finished*
-            run. Concurrent runs each count their own retries and write
-            a final snapshot here on completion.
-        last_run_cancelled: same, for chunks cancelled before starting
-            after another chunk failed (they are then re-run inline).
+        last_run_cancelled: chunks of the most recently *finished* run
+            that were cancelled before starting because another chunk
+            failed. Concurrent runs each write their own snapshot.
     """
 
     def __init__(self, num_threads: int = 1):
@@ -244,7 +179,6 @@ class ChunkedExecutor:
             if num_threads > 1
             else None
         )
-        self.last_run_retries = 0
         self.last_run_cancelled = 0
 
     def run(
@@ -252,37 +186,22 @@ class ChunkedExecutor:
         total: int,
         chunk_size: int,
         fn: Callable[[int, int], None],
-        max_retries: int = 0,
-        retry_policy: Optional[RetryPolicy] = None,
         deadline: Optional[float] = None,
-        diagnostics: Optional[DiagnosticLog] = None,
         ranges: Optional[List[Tuple[int, int]]] = None,
         timeline: Optional[ShardTimeline] = None,
     ) -> None:
         """Execute ``fn(start, end)`` for every chunk of the batch.
 
         Args:
-            max_retries: extra attempts granted to each failing chunk
-                (0 = fail immediately, preserving strict semantics).
-                Shorthand for ``RetryPolicy(max_retries=...)`` with
-                immediate (no-backoff) retries.
-            retry_policy: full bounded-backoff policy; overrides
-                ``max_retries`` when provided.
             deadline: absolute ``time.monotonic()`` timestamp after
                 which no further chunk is started and a structured
                 :class:`DeadlineError` is raised.
-            diagnostics: optional log receiving one ``chunk-retry``
-                WARNING diagnostic per retry attempt.
             ranges: explicit shard plan (e.g. from :func:`plan_chunks`);
                 overrides the uniform ``chunk_size`` split. Must cover
                 ``[0, total)`` with disjoint chunks.
             timeline: optional :class:`ShardTimeline` receiving one
                 record per executed chunk (worker name + interval).
         """
-        if retry_policy is None:
-            if max_retries < 0:
-                raise ValueError("max_retries must be >= 0")
-            retry_policy = RetryPolicy(max_retries=max_retries)
         if timeline is not None:
             timed = fn
 
@@ -291,145 +210,43 @@ class ChunkedExecutor:
                 _inner(start, end)
                 timeline.record(start, end, began, time.monotonic())
 
-        state = _RunState(diagnostics=diagnostics)
-        try:
-            self._run(total, chunk_size, fn, retry_policy, deadline, state, ranges)
-        finally:
-            self.last_run_retries = state.retries
-            self.last_run_cancelled = state.cancelled
-
-    def _run(
-        self,
-        total: int,
-        chunk_size: int,
-        fn: Callable[[int, int], None],
-        retry_policy: RetryPolicy,
-        deadline: Optional[float],
-        state: _RunState,
-        ranges: Optional[List[Tuple[int, int]]] = None,
-    ) -> None:
         if ranges is None:
             ranges = chunk_ranges(total, chunk_size)
         if self._pool is None or len(ranges) == 1:
+            self.last_run_cancelled = 0
             for start, end in ranges:
                 self._check_deadline(deadline, start, end)
-                self._run_with_retry(fn, start, end, retry_policy, deadline, state)
+                fn(start, end)
             return
 
         def guarded(start: int, end: int) -> None:
             # Deadline holds on the pool path too: a chunk that reaches
-            # a worker past the deadline must not start. The resulting
-            # DeadlineError fails fast below and is never retried.
+            # a worker past the deadline must not start.
             self._check_deadline(deadline, start, end)
             fn(start, end)
 
-        futures = [(self._pool.submit(guarded, s, e), (s, e)) for s, e in ranges]
-        failed: List[Tuple[Tuple[int, int], BaseException]] = []
-        cancelled_ids: set = set()
-        for index, (future, chunk) in enumerate(futures):
-            if index in cancelled_ids:
+        futures = [self._pool.submit(guarded, s, e) for s, e in ranges]
+        first_error: Optional[Exception] = None
+        cancelled = 0
+        for index, future in enumerate(futures):
+            if future.cancelled():
                 continue
             try:
                 future.result()
-            except CancelledError:  # pragma: no cover - cancel() raced us
-                cancelled_ids.add(index)
             except Exception as error:
-                failed.append((chunk, error))
-                # Fail fast: the moment any chunk raises, sweep the queue
-                # and cancel everything that has not started yet; those
-                # chunks are re-run inline (or the error re-raised) below.
-                for later in range(index + 1, len(futures)):
-                    if later not in cancelled_ids and futures[later][0].cancel():
-                        cancelled_ids.add(later)
-        cancelled = [futures[i][1] for i in sorted(cancelled_ids)]
-        state.cancelled = len(cancelled)
-
-        for (start, end), error in failed:
-            self._retry_failed(fn, start, end, retry_policy, deadline, error, state)
-        for start, end in cancelled:
-            self._check_deadline(deadline, start, end)
-            self._run_with_retry(fn, start, end, retry_policy, deadline, state)
+                if first_error is None:
+                    first_error = error
+                    # Fail fast: the moment any chunk raises, cancel
+                    # everything that has not started yet.
+                    cancelled = sum(later.cancel() for later in futures[index + 1:])
+        self.last_run_cancelled = cancelled
+        if first_error is not None:
+            raise first_error
 
     @staticmethod
     def _check_deadline(deadline: Optional[float], start: int, end: int) -> None:
         if deadline is not None and time.monotonic() >= deadline:
             raise _deadline_error(start, end, deadline)
-
-    def _run_with_retry(
-        self,
-        fn: Callable[[int, int], None],
-        start: int,
-        end: int,
-        policy: RetryPolicy,
-        deadline: Optional[float],
-        state: _RunState,
-    ) -> None:
-        try:
-            fn(start, end)
-        except Exception as error:
-            self._retry_failed(fn, start, end, policy, deadline, error, state)
-
-    def _retry_failed(
-        self,
-        fn: Callable[[int, int], None],
-        start: int,
-        end: int,
-        policy: RetryPolicy,
-        deadline: Optional[float],
-        error: BaseException,
-        state: _RunState,
-    ) -> None:
-        if isinstance(error, DeadlineError):
-            # Deadline expiry is terminal, never transient: re-running
-            # the chunk cannot un-expire the budget.
-            raise error
-        attempt = 0
-        while True:
-            if attempt >= policy.max_retries:
-                raise error
-            delay = policy.delay(attempt)
-            if deadline is not None and time.monotonic() + delay >= deadline:
-                # No budget left to even wait out the backoff: surface a
-                # deadline error chained to the underlying fault.
-                raise _deadline_error(start, end, deadline) from error
-            if delay > 0.0:
-                time.sleep(delay)
-            attempt += 1
-            state.retries += 1
-            self._emit_retry(state.diagnostics, start, end, attempt, delay, error)
-            try:
-                fn(start, end)
-                return
-            except Exception as new_error:
-                error = new_error
-
-    def _emit_retry(
-        self,
-        log: Optional[DiagnosticLog],
-        start: int,
-        end: int,
-        attempt: int,
-        delay: float,
-        error: BaseException,
-    ) -> None:
-        if log is None:
-            return
-        log.emit(
-            Diagnostic(
-                severity=Severity.WARNING,
-                code=ErrorCode.CHUNK_RETRY,
-                message=(
-                    f"retrying chunk [{start}, {end}) after "
-                    f"{type(error).__name__}: {error}"
-                ),
-                stage="execute",
-                detail={
-                    "chunk": [start, end],
-                    "attempt": attempt,
-                    "backoff_s": delay,
-                },
-            )
-        )
 
     def close(self) -> None:
         if self._pool is not None:

@@ -28,7 +28,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..diagnostics import AdmissionError, DeadlineError, ErrorCode, ExecutionError
+from ..diagnostics import AdmissionError, DeadlineError, ExecutionError
+from ..runtime import ladder
 from .admission import ModelNotFoundError
 from .server import InferenceServer
 
@@ -124,14 +125,13 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError as error:
             self._send_json(400, {"error": str(error)})
         except ExecutionError as error:
-            diagnostic = getattr(error, "diagnostic", None)
-            if diagnostic is not None and diagnostic.code == ErrorCode.QUERY_NAN:
+            if ladder.is_caller_error(error):
                 # NaN on a conditional query variable: the client's bug
                 # (a protocol answer), not a server failure.
                 self._send_json(400, {"error": str(error)})
             else:
                 self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
-        except Exception as error:  # both degradation rungs failed
+        except Exception as error:  # every degradation rung failed
             self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
         else:
             self._send_json(

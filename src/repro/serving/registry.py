@@ -1,7 +1,7 @@
 """Versioned registry of compiled models with drain-before-unload.
 
 Each published model becomes a :class:`ModelVersion`: the compiled
-kernel plus its SPN (for the interpreter degradation rung), an
+kernel plus its SPN (for the reference rung of the degradation ladder), an
 auto-incrementing version number and the compiled artifact's identity —
 ``CompilerOptions.cache_fingerprint()`` — so two versions compiled from
 identical configurations are recognizably the same kernel.
@@ -30,8 +30,6 @@ from ..diagnostics import (
     ErrorCode,
     Severity,
 )
-from ..spn import inference, sampling
-from ..spn.mpe import mpe as reference_mpe
 from ..spn.query import QUERY_KINDS, Query
 from .admission import ModelNotFoundError
 
@@ -42,8 +40,9 @@ class ModelVersion:
     Holds the compiled joint executable (the fast path), the compiler
     that produced it (so the other query modalities — MPE, sampling,
     conditional, expectation — compile lazily on their first request,
-    through the same registered pass pipeline), and the source SPN (the
-    always-correct interpreter rung of the degradation ladder).
+    through the same registered pass pipeline), and the source SPN with
+    its output space (what the ladder's always-correct reference rung
+    evaluates, :func:`repro.runtime.ladder.reference_output`).
     """
 
     def __init__(
@@ -145,38 +144,6 @@ class ModelVersion:
                 compilation = self.compiler.compile(self.spn, query)
                 self._compilations[query] = compilation
         return compilation.executable
-
-    def interpret(
-        self,
-        inputs: np.ndarray,
-        query: Optional[Query] = None,
-        seed: Optional[int] = None,
-    ) -> np.ndarray:
-        """Reference evaluation (the degraded rung), any modality.
-
-        SPFlow-equivalent semantics (:mod:`repro.spn`) — slow but always
-        correct, even when the compiled kernel is faulting. Outputs are
-        shaped exactly like the compiled kernel's (rows on the last
-        axis) so batch slicing downstream is modality-agnostic.
-        """
-        data = np.asarray(inputs, dtype=np.float64)
-        kind = "joint" if query is None else query.kind
-        if kind == "mpe":
-            completions, scores = reference_mpe(self.spn, data)
-            if not self.use_log_space:
-                scores = np.exp(scores)
-            return np.concatenate([scores[None, :], completions.T], axis=0)
-        if kind == "sample":
-            rng = np.random.default_rng(0 if seed is None else seed)
-            return sampling.conditional_sample(self.spn, data, rng).T
-        if kind == "conditional":
-            return inference.conditional_log_likelihood(
-                self.spn, data, query.query_variables
-            )
-        if kind == "expectation":
-            return inference.expectation(self.spn, data, moment=query.moment).T
-        output = inference.log_likelihood(self.spn, data)
-        return output if self.use_log_space else np.exp(output)
 
     # -- lease lifecycle ---------------------------------------------------------
 

@@ -20,11 +20,15 @@ Robustness decisions:
   formation and kernel execution — down to
   :meth:`ChunkedExecutor.run <repro.runtime.threadpool.ChunkedExecutor.run>`
   chunk scheduling — so slow chunks fail bounded, not late.
-- **Degradation over failure.** Compiled-kernel faults are retried with
-  bounded backoff + jitter; repeated faults trip the per-model
+- **Degradation over failure.** Each batch runs down the one
+  degradation ladder (:mod:`repro.runtime.ladder`) that the single-call
+  API also uses: the version's kernel is the only compiled rung,
+  retried under ``ServerConfig.retry`` (bounded backoff + jitter);
+  repeated faults trip the per-model
   :class:`~repro.serving.admission.CircuitBreaker` and traffic is served
-  by the reference interpreter (correct, slower, flagged ``degraded``)
-  until a half-open probe proves the kernel healthy again.
+  by the reference rung (correct, slower, flagged ``degraded``) until a
+  half-open probe proves the kernel healthy again. The server keeps only
+  its stats and diagnostics; the rules are the ladder's.
 - **Swap never drops.** Hot model swap routes new batches to the new
   version while in-flight batches finish on their leased version;
   the old kernel is closed only after its leases drain.
@@ -51,7 +55,7 @@ from ..diagnostics import (
     diagnostic_context,
     diagnostic_from_exception,
 )
-from ..runtime.threadpool import RetryPolicy
+from ..runtime import ladder
 from .admission import (
     BreakerConfig,
     CircuitBreaker,
@@ -82,7 +86,7 @@ class ServerConfig:
     #: Default per-request timeout; ``None`` = no deadline unless given.
     default_timeout_s: Optional[float] = None
     #: Bounded-backoff retry for transient compiled-kernel faults.
-    retry: RetryPolicy = RetryPolicy(
+    retry: ladder.RetryPolicy = ladder.RetryPolicy(
         max_retries=2, backoff_base=0.002, backoff_max=0.05, jitter=0.25
     )
     #: Per-model circuit breaker configuration.
@@ -561,7 +565,7 @@ class InferenceServer:
                 query = version.query_for(
                     batch[0].query, batch[0].query_args, inputs=inputs
                 )
-                outputs, degraded = self._execute_resilient(
+                outputs, degraded = self._execute_ladder(
                     state, version, inputs, deadline, query, batch[0].seed
                 )
             except DeadlineError as error:
@@ -628,7 +632,7 @@ class InferenceServer:
 
     # -- the degradation ladder --------------------------------------------------
 
-    def _execute_resilient(
+    def _execute_ladder(
         self,
         state: _ModelState,
         version: ModelVersion,
@@ -637,123 +641,58 @@ class InferenceServer:
         query,
         seed: int,
     ):
-        """Compiled kernel (with retries) → interpreter. Returns
-        ``(outputs, degraded)`` or raises the terminal error."""
-        if state.breaker.allow_request():
-            try:
-                outputs = self._run_compiled(
-                    state, version, inputs, deadline, query, seed
-                )
-                state.breaker.record_success()
-                return outputs, False
-            except DeadlineError:
-                # Out of time, not necessarily a kernel defect: surface
-                # the deadline without charging the breaker.
-                raise
-            except Exception as error:
-                if self._is_caller_error(error):
-                    # Malformed input (NaN on a conditional query
-                    # variable): the caller's bug, not a kernel defect —
-                    # don't charge the breaker, don't degrade (the
-                    # interpreter would reject it too).
-                    raise
-                state.breaker.record_failure()
-                self.diagnostics.emit(
-                    diagnostic_from_exception(
-                        error,
-                        code=ErrorCode.EXECUTION_FAILED,
-                        target=version.executable.target,
-                    )
-                )
-                if state.breaker.state == CircuitBreaker.OPEN:
-                    self.diagnostics.emit(
-                        Diagnostic(
-                            severity=Severity.WARNING,
-                            code=ErrorCode.BREAKER_OPEN,
-                            message=(
-                                f"circuit breaker for '{state.name}' opened after "
-                                "repeated kernel failures; serving degraded "
-                                "(reference interpreter)"
-                            ),
-                            target=version.executable.target,
-                        )
-                    )
-        else:
+        """One batch down :mod:`repro.runtime.ladder`: the version's kernel
+        (retried under ``ServerConfig.retry``, guarded by the model's
+        breaker) → reference rung. Returns ``(outputs, degraded)`` or
+        raises the terminal error."""
+
+        def kernel() -> np.ndarray:
+            # Lazy per-modality compile (first request of a kind on this
+            # version) happens inside the ladder, so a failing query
+            # lowering degrades to the reference rung instead of
+            # erroring the batch.
+            executable = version.executable_for(query)
+            if query.kind == "sample":
+                return executable.execute(inputs, deadline=deadline, seed=seed)
+            return executable.execute(inputs, deadline=deadline)
+
+        landing = ladder.run(
+            ((version.executable.target, kernel),),
+            version.spn,
+            inputs,
+            query,
+            retry=self.config.retry,
+            seed=seed,
+            use_log_space=version.use_log_space,
+            deadline=deadline,
+            breaker=state.breaker,
+        )
+        if landing.retries:
+            state.stats.record_retry(landing.retries)
+            self.stats.record_retry(landing.retries)
+        if landing.short_circuited:
             state.stats.record_breaker_short_circuit()
             self.stats.record_breaker_short_circuit()
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineError(
-                "deadline exceeded before interpreter fallback could run"
+        for target, error in landing.failures:
+            self.diagnostics.emit(
+                diagnostic_from_exception(
+                    error, code=ErrorCode.EXECUTION_FAILED, target=target
+                )
             )
-        # The always-correct rung: SPFlow-equivalent reference semantics.
-        outputs = version.interpret(inputs, query, seed=seed)
-        return outputs, True
-
-    @staticmethod
-    def _is_caller_error(error: BaseException) -> bool:
-        diagnostic = getattr(error, "diagnostic", None)
-        return diagnostic is not None and diagnostic.code == ErrorCode.QUERY_NAN
-
-    def _run_compiled(
-        self,
-        state: _ModelState,
-        version: ModelVersion,
-        inputs: np.ndarray,
-        deadline: Optional[float],
-        query,
-        seed: int,
-    ) -> np.ndarray:
-        policy = self.config.retry
-        attempt = 0
-        while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                raise DeadlineError("deadline exceeded before kernel execution")
-            try:
-                # Lazy per-modality compile (first request of a kind on
-                # this version) happens inside the retry/breaker ladder,
-                # so a failing query lowering degrades to the reference
-                # interpreter instead of erroring the batch.
-                executable = version.executable_for(query)
-                if query.kind == "sample":
-                    outputs = executable.execute(
-                        inputs, deadline=deadline, seed=seed
-                    )
-                else:
-                    outputs = executable.execute(inputs, deadline=deadline)
-                if query.kind in ("conditional", "expectation"):
-                    # NaN is a defined answer for these modalities
-                    # (zero-probability evidence, off-scope features),
-                    # never a kernel-defect signal.
-                    return outputs
-                if np.isnan(outputs).any():
-                    raise ExecutionError(
-                        f"compiled kernel for '{state.name}' produced NaN results",
-                        diagnostic=Diagnostic(
-                            severity=Severity.ERROR,
-                            code=ErrorCode.KERNEL_NAN,
-                            message="NaN results from compiled kernel",
-                            stage="execute",
-                            target=version.executable.target,
-                        ),
-                    )
-                return outputs
-            except DeadlineError:
-                raise
-            except Exception as error:
-                if self._is_caller_error(error) or attempt >= policy.max_retries:
-                    # A caller error (NaN query variable) is
-                    # deterministic: retrying cannot change the answer.
-                    raise
-                delay = policy.delay(attempt)
-                if deadline is not None and time.monotonic() + delay >= deadline:
-                    raise DeadlineError(
-                        "deadline exceeded during kernel retry backoff"
-                    ) from error
-                if delay > 0.0:
-                    time.sleep(delay)
-                attempt += 1
-                state.stats.record_retry()
-                self.stats.record_retry()
+        if landing.failures and state.breaker.state != CircuitBreaker.CLOSED:
+            self.diagnostics.emit(
+                Diagnostic(
+                    severity=Severity.WARNING,
+                    code=ErrorCode.BREAKER_OPEN,
+                    message=(
+                        f"circuit breaker for '{state.name}' opened after "
+                        "repeated kernel failures; serving degraded "
+                        "(reference interpreter)"
+                    ),
+                    target=version.executable.target,
+                )
+            )
+        return landing.output, landing.degraded
 
     # -- health / shutdown -------------------------------------------------------
 

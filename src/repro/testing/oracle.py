@@ -171,9 +171,19 @@ class ConfigSpec:
     options: Dict[str, object] = dataclasses.field(default_factory=dict)
     row_limit: Optional[int] = None
 
-    def compiler_options(self, artifact_dir: Optional[str] = None) -> CompilerOptions:
-        return CompilerOptions(fallback="raise", artifact_dir=artifact_dir,
-                               **self.options)
+    def compiler_options(
+        self, artifact_dir: Optional[str] = None, query: Optional[Query] = None
+    ) -> CompilerOptions:
+        """The configuration as :class:`CompilerOptions`; with ``query``,
+        also its kind, variables and moment (what a reproducer replays)."""
+        options = dict(self.options)
+        if query is not None:
+            options.update(
+                query=query.kind,
+                query_variables=getattr(query, "query_variables", ()),
+                moment=getattr(query, "moment", 1),
+            )
+        return CompilerOptions(artifact_dir=artifact_dir, **options)
 
 
 #: The default configuration matrix: every CPU vectorization strategy,
@@ -696,7 +706,7 @@ class DifferentialOracle:
         options = None
         if spec.kind == "compiled":
             try:
-                options = spec.compiler_options(self.artifact_dir)
+                options = spec.compiler_options(self.artifact_dir, case.query)
             except Exception:
                 options = dict(spec.options)
         path = dump_reproducer(
@@ -717,7 +727,8 @@ class DifferentialOracle:
                     f"Differential divergence: {spec.name} vs reference\n"
                     f"case: seed={case.seed} index={case.index}\n\n"
                     "Replay the failing configuration:\n"
-                    f"  python -m repro run model.spnb inputs.npy {_replay_flags(spec)}\n\n"
+                    "  python -m repro run model.spnb inputs.npy "
+                    f"{_replay_flags(spec, case)}\n\n"
                     "Reference values:\n"
                     f"  {divergence.reference.tolist()}\n"
                     "Observed values:\n"
@@ -903,9 +914,20 @@ class DifferentialOracle:
         return report
 
 
-def _replay_flags(spec: ConfigSpec) -> str:
+def _replay_flags(spec: ConfigSpec, case: Case) -> str:
+    """``repro run`` flags replaying ``spec`` on ``case``'s query."""
     options = spec.options
+    query = case.query
     flags = []
+    if query.kind != "joint":
+        flags.append(f"--query {query.kind}")
+    if query.kind == "conditional":
+        variables = ",".join(str(v) for v in query.query_variables)
+        flags.append(f"--query-variables {variables}")
+    elif query.kind == "expectation":
+        flags.append(f"--moment {query.moment}")
+    elif query.kind == "sample":
+        flags.append(f"--seed {case.sample_seed}")
     if options.get("target"):
         flags.append(f"--target {options['target']}")
     if "opt_level" in options:

@@ -488,6 +488,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             print("shutting down (draining in-flight requests)...")
         httpd.shutdown()
+        httpd.server_close()
     finally:
         server.close(drain=True)
     return 0

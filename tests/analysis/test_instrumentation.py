@@ -141,9 +141,10 @@ class TestPassManagerInstrumentation:
 
 
 class TestCompilerOptionsKnob:
-    def test_bool_back_compat_maps_to_boundaries(self):
-        assert CompilerOptions(verify_each=True).verify_each == "boundaries"
-        assert CompilerOptions(verify_each=False).verify_each == "off"
+    def test_bool_spellings_rejected(self):
+        for legacy in (True, False):
+            with pytest.raises(ValueError):
+                CompilerOptions(verify_each=legacy)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -172,7 +172,7 @@ class TestExecutionEquivalence:
         result = compile_spn(
             gaussian_spn,
             JointProbability(batch_size=16),
-            CompilerOptions(target="gpu", max_partition_size=3, verify_each_stage=True),
+            CompilerOptions(target="gpu", max_partition_size=3, verify_each="structural"),
         )
         np.testing.assert_allclose(
             result.executable(gaussian_inputs), ref, rtol=2e-3, atol=1e-5

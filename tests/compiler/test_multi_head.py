@@ -76,7 +76,7 @@ class TestExecution:
         [
             CompilerOptions(),
             CompilerOptions(vectorize=True, superword_factor=2),
-            CompilerOptions(max_partition_size=20, verify_each_stage=True),
+            CompilerOptions(max_partition_size=20, verify_each="structural"),
             CompilerOptions(target="gpu"),
             CompilerOptions(target="gpu", max_partition_size=20),
             CompilerOptions(opt_level=3),

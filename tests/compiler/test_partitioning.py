@@ -151,7 +151,7 @@ class TestSumLayerSizes:
         result = compile_spn(
             spn,
             JointProbability(batch_size=16),
-            CompilerOptions(max_partition_size=max_size, verify_each_stage=True),
+            CompilerOptions(max_partition_size=max_size, verify_each="structural"),
         )
         assert result.num_tasks == result.partitioning.num_partitions
         np.testing.assert_allclose(result.executable(x), ref, rtol=2e-4, atol=2e-4)
@@ -212,7 +212,7 @@ class TestKernelRewriting:
         result = compile_spn(
             gaussian_spn,
             JointProbability(batch_size=16),
-            CompilerOptions(max_partition_size=max_size, verify_each_stage=True),
+            CompilerOptions(max_partition_size=max_size, verify_each="structural"),
         )
         out = result.executable(gaussian_inputs)
         np.testing.assert_allclose(out, ref, rtol=2e-4, atol=1e-6)
@@ -225,7 +225,7 @@ class TestKernelRewriting:
         result = compile_spn(
             spn,
             JointProbability(batch_size=16),
-            CompilerOptions(max_partition_size=20, verify_each_stage=True),
+            CompilerOptions(max_partition_size=20, verify_each="structural"),
         )
         np.testing.assert_allclose(result.executable(x), ref, rtol=1e-3, atol=1e-5)
         assert result.num_tasks > 1

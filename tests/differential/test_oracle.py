@@ -9,6 +9,7 @@ injected-bug detection path (shrinking + reproducer dump) and the
 
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -23,11 +24,13 @@ from repro.testing.generators import Case, CaseGenerator, SPNGenerator
 from repro.testing.oracle import (
     DEFAULT_CONFIGS,
     DifferentialOracle,
+    Divergence,
     IRFuzzer,
     compute_tolerance,
     outputs_match,
     run_interpreter,
 )
+from repro.tools.cli import _query_variables_from, build_parser
 from repro.tools.cli import main as cli_main
 
 
@@ -249,6 +252,36 @@ class TestSumLayerCases:
             failures.extend(fuzzer.check_roundtrip(case, batch, "batch"))
         assert failures == []
 
+    def test_conditional_reproducer_replays_its_query(self, tmp_path):
+        """The README replay line and options.json carry the case's
+        query, so a non-joint reproducer recompiles the same kernel."""
+        case = CaseGenerator(seed=0, query_kinds=("conditional",)).case(1)
+        variables = tuple(int(v) for v in case.query.query_variables)
+        spec = DEFAULT_CONFIGS[0]
+        rows = case.inputs.shape[0]
+        divergence = Divergence(
+            case=case,
+            config=spec.name,
+            reference=np.zeros(rows),
+            observed=np.ones(rows),
+            tolerance=np.zeros(rows),
+        )
+        oracle = DifferentialOracle(configs=[spec], artifact_dir=str(tmp_path))
+        path = oracle._dump(spec, divergence)
+
+        with open(os.path.join(path, "README.txt")) as handle:
+            replay = next(
+                line for line in handle if "python -m repro run" in line
+            )
+        argv = shlex.split(replay)[3:]  # drop "python -m repro"
+        args = build_parser().parse_args(argv)
+        assert args.query == "conditional"
+        assert _query_variables_from(args) == variables
+        with open(os.path.join(path, "options.json")) as handle:
+            options = json.load(handle)
+        assert options["query"] == "conditional"
+        assert tuple(options["query_variables"]) == variables
+
     def test_matrix_covers_the_allocating_batch_codegen_path(self):
         """-O0 batch kernels have no scratch registers: stack/contract
         allocate (``np.stack``, ``+=``) instead of writing ``out=``."""
@@ -302,7 +335,7 @@ class TestFuzzCLI:
         out = capsys.readouterr().out
         assert code == 1
         assert "DIVERGENCE" in out
-        assert any(os.scandir(tmp_path))  # reproducer landed
+        assert os.listdir(tmp_path)  # reproducer landed
 
     def test_unknown_config_rejected(self, capsys):
         assert cli_main(["fuzz", "1", "--configs", "nope"]) == 2

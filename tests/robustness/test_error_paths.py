@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CompilerOptions, OptionsError, compile_spn
+from repro import CompilerOptions, CPUCompiler, OptionsError, compile_spn
 from repro.dialects.arith import AddFOp, ConstantOp
 from repro.dialects.func import FuncOp, ReturnOp
 from repro.ir import (
@@ -38,7 +38,7 @@ class TestCompilerOptionsValidation:
 
     def test_unknown_fallback_policy(self):
         with pytest.raises(ValueError, match="fallback"):
-            CompilerOptions(fallback="panic")
+            CPUCompiler(fallback="panic")
 
     def test_errors_are_structured(self):
         with pytest.raises(OptionsError) as excinfo:
@@ -102,7 +102,7 @@ class TestVerifyEachStage:
         result = compile_spn(
             make_gaussian_spn(),
             JointProbability(batch_size=16),
-            CompilerOptions(target=target, opt_level=3, verify_each_stage=True),
+            CompilerOptions(target=target, opt_level=3, verify_each="structural"),
         )
         assert result.executable is not None
 
@@ -110,6 +110,6 @@ class TestVerifyEachStage:
         result = compile_spn(
             make_gaussian_spn(),
             JointProbability(batch_size=16),
-            CompilerOptions(max_partition_size=3, verify_each_stage=True),
+            CompilerOptions(max_partition_size=3, verify_each="structural"),
         )
         assert result.num_tasks >= 1

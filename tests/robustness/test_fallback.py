@@ -95,6 +95,19 @@ class TestInterpreterFallbackCPU:
         assert len(warned) == 1
         assert compiler.diagnostics.errors()[0].code == ErrorCode.KERNEL_NAN
 
+    def test_transient_kernel_fault_is_not_retried(self, spn, inputs):
+        # The API ladder takes zero retries: a one-shot kernel fault
+        # lands on the interpreter instead of re-running the kernel.
+        reference = log_likelihood(spn, inputs)
+        compiler = CPUCompiler(batch_size=64, fallback="interpret")
+        with faults.inject_kernel_failure(times=1) as fault:
+            out, warned = degraded(compiler, spn, inputs)
+        assert fault.fired == 1
+        np.testing.assert_allclose(out, reference, atol=1e-9, rtol=0)
+        assert len(warned) == 1
+        assert len(compiler.diagnostics.errors()) == 1
+        assert compiler.diagnostics.last.code == ErrorCode.FALLBACK_INTERPRETER
+
     def test_interpret_warns_once_per_model(self, spn, inputs):
         compiler = CPUCompiler(batch_size=64, fallback="interpret")
         with faults.inject_kernel_nan():

@@ -1,4 +1,4 @@
-"""Runtime hardening: chunk retry/cancellation and executable lifecycle."""
+"""Runtime hardening: fail-fast chunk cancellation and executable lifecycle."""
 
 import threading
 
@@ -30,37 +30,15 @@ class FlakyChunk:
                 raise self.exc(f"chunk {start} failed")
 
 
-class TestChunkRetry:
-    def test_serial_retry_recovers_transient_failure(self):
-        fn = FlakyChunk(fail_start=4, failures=1)
-        with ChunkedExecutor(1) as ex:
-            ex.run(12, 4, fn, max_retries=1)
-        assert ex.last_run_retries == 1
-        # Chunk 4 ran twice (fail + retry), others once.
-        assert fn.calls.count((4, 8)) == 2
-
-    def test_serial_no_retry_raises_immediately(self):
+class TestChunkFailFast:
+    def test_serial_failure_raises_immediately(self):
         fn = FlakyChunk(fail_start=0, failures=1)
         with ChunkedExecutor(1) as ex:
             with pytest.raises(RuntimeError):
                 ex.run(8, 4, fn)
+        assert fn.calls == [(0, 4)]  # not retried, later chunk never ran
 
-    def test_retry_budget_exhausted_reraises_last_error(self):
-        fn = FlakyChunk(fail_start=0, failures=10)
-        with ChunkedExecutor(1) as ex:
-            with pytest.raises(RuntimeError):
-                ex.run(4, 4, fn, max_retries=2)
-        assert ex.last_run_retries == 2
-
-    def test_parallel_retry_recovers(self):
-        fn = FlakyChunk(fail_start=8, failures=1)
-        with ChunkedExecutor(3) as ex:
-            ex.run(20, 4, fn, max_retries=2)
-        assert ex.last_run_retries == 1
-        covered = sorted(set(fn.calls))
-        assert covered == [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20)]
-
-    def test_parallel_failure_without_retry_raises(self):
+    def test_parallel_failure_raises(self):
         fn = FlakyChunk(fail_start=0, failures=1)
         with ChunkedExecutor(2) as ex:
             with pytest.raises(RuntimeError):
@@ -87,35 +65,6 @@ class TestChunkRetry:
             with pytest.raises(RuntimeError):
                 ex.run(40, 4, fn)
             assert ex.last_run_cancelled > 0
-
-    def test_cancelled_chunks_rerun_when_retry_allowed(self):
-        blocker = threading.Event()
-        lock = threading.Lock()
-        failures = {"remaining": 1}
-        calls = []
-
-        def fn(start, end):
-            with lock:
-                calls.append((start, end))
-            if start == 0:
-                if failures["remaining"]:
-                    failures["remaining"] -= 1
-                    blocker.wait(timeout=5)
-                    raise RuntimeError("transient")
-            if start == 4:
-                blocker.set()
-
-        with ChunkedExecutor(2) as ex:
-            ex.run(40, 4, fn, max_retries=1)
-        covered = set()
-        for start, end in calls:
-            covered.update(range(start, end))
-        assert covered == set(range(40))  # every sample processed
-
-    def test_negative_retry_rejected(self):
-        with ChunkedExecutor(1) as ex:
-            with pytest.raises(ValueError):
-                ex.run(4, 4, lambda s, e: None, max_retries=-1)
 
 
 class TestExecutorLifecycle:

@@ -5,7 +5,7 @@ executable fails cleanly (structured :class:`ExecutableClosedError`,
 which is both a :class:`CompilerError` and a :class:`RuntimeError`),
 ``close()`` waits for in-flight executions instead of yanking the pool
 from under them, and :class:`ChunkedExecutor` honours absolute
-deadlines and bounded-backoff retry policies with diagnostics.
+deadlines.
 """
 
 import threading
@@ -18,11 +18,10 @@ from repro.compiler import CompilerOptions, compile_spn
 from repro.diagnostics import (
     CompilerError,
     DeadlineError,
-    DiagnosticLog,
     ErrorCode,
     ExecutableClosedError,
 )
-from repro.runtime.threadpool import ChunkedExecutor, RetryPolicy
+from repro.runtime.threadpool import ChunkedExecutor
 from repro.spn import JointProbability, log_likelihood
 from repro.testing import faults
 
@@ -158,76 +157,3 @@ class TestChunkedExecutorDeadline:
         # deadline cut that short and most chunks never started.
         assert elapsed < 0.25
         assert len(ran) < 10
-
-    def test_deadline_expiry_is_not_retried(self):
-        # A DeadlineError must consume no retry budget: re-running the
-        # chunk cannot un-expire the deadline.
-        ran = []
-
-        def slow(start, end):
-            ran.append((start, end))
-            time.sleep(0.05)
-
-        policy = RetryPolicy(max_retries=3, backoff_base=0.0, jitter=0.0)
-        with ChunkedExecutor(2) as ex:
-            with pytest.raises(DeadlineError):
-                ex.run(
-                    40, 4, slow, retry_policy=policy,
-                    deadline=time.monotonic() + 0.06,
-                )
-            assert ex.last_run_retries == 0
-
-
-class TestRetryPolicy:
-    def test_delay_grows_and_caps(self):
-        policy = RetryPolicy(
-            max_retries=5, backoff_base=0.01, backoff_max=0.04, jitter=0.0
-        )
-        delays = [policy.delay(attempt) for attempt in range(5)]
-        assert delays[0] == pytest.approx(0.01)
-        assert delays[1] == pytest.approx(0.02)
-        assert max(delays) <= 0.04 + 1e-9
-        assert delays == sorted(delays)
-
-    def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(
-            max_retries=1, backoff_base=0.01, backoff_max=1.0, jitter=0.5
-        )
-        for _ in range(50):
-            assert 0.005 <= policy.delay(0) <= 0.015
-
-    def test_retries_emit_diagnostics(self):
-        attempts = {}
-
-        def flaky(start, end):
-            attempts[start] = attempts.get(start, 0) + 1
-            if attempts[start] == 1:
-                raise ValueError("transient")
-
-        log = DiagnosticLog()
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0, jitter=0.0)
-        with ChunkedExecutor(1) as ex:
-            ex.run(8, 4, flaky, retry_policy=policy, diagnostics=log)
-        assert ex.last_run_retries == 2
-        assert len(log.by_code(ErrorCode.CHUNK_RETRY)) == 2
-
-    def test_backoff_respects_deadline(self):
-        """A retry whose backoff cannot fit the deadline surfaces the
-        deadline error instead of sleeping past it."""
-
-        def always_fails(start, end):
-            raise ValueError("broken")
-
-        policy = RetryPolicy(max_retries=5, backoff_base=0.5, jitter=0.0)
-        with ChunkedExecutor(1) as ex:
-            before = time.monotonic()
-            with pytest.raises(DeadlineError):
-                ex.run(
-                    4,
-                    4,
-                    always_fails,
-                    retry_policy=policy,
-                    deadline=time.monotonic() + 0.05,
-                )
-            # It gave up promptly, not after the full 0.5s backoff.
-            assert time.monotonic() - before < 0.4

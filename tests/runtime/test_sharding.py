@@ -6,8 +6,8 @@ bit-identical to the single-threaded run (the kernels are per-sample;
 chunk boundaries never change arithmetic). The plan itself must stay
 work-stealing friendly (≥ 2 x workers chunks when profitable) without
 slicing below the vector-profitable minimum or above the compiled
-batch-size hint, and the executor's retry / deadline / fail-fast and
-``last_run_*`` snapshot semantics must survive explicit shard plans.
+batch-size hint, and the executor's deadline and fail-fast semantics
+must survive explicit shard plans.
 """
 
 import threading
@@ -21,7 +21,6 @@ from repro.diagnostics import DeadlineError
 from repro.runtime import (
     MIN_PROFITABLE_CHUNK,
     ChunkedExecutor,
-    RetryPolicy,
     ShardTimeline,
     chunk_ranges,
     plan_chunks,
@@ -144,31 +143,13 @@ class TestShardedBitIdentical:
 
 
 class TestExplicitRangesSemantics:
-    """run(ranges=...) preserves retry / deadline / fail-fast behavior."""
+    """run(ranges=...) preserves deadline / fail-fast behavior."""
 
     def test_ranges_override_chunk_size(self):
         seen = []
         with ChunkedExecutor(1) as ex:
             ex.run(10, 3, lambda s, e: seen.append((s, e)), ranges=[(0, 7), (7, 10)])
         assert seen == [(0, 7), (7, 10)]
-
-    def test_retry_recovers_transient_fault(self):
-        failures = {"left": 1}
-
-        def flaky(start, end):
-            if start == 0 and failures["left"] > 0:
-                failures["left"] -= 1
-                raise RuntimeError("transient")
-
-        with ChunkedExecutor(2) as ex:
-            ex.run(
-                1024,
-                512,
-                flaky,
-                retry_policy=RetryPolicy(max_retries=2),
-                ranges=plan_chunks(1024, 512, 2, min_chunk=1),
-            )
-            assert ex.last_run_retries == 1
 
     def test_deadline_enforced_on_shard_plan(self):
         with ChunkedExecutor(2) as ex:
@@ -201,8 +182,7 @@ class TestExplicitRangesSemantics:
                     ranges=chunk_ranges(65536, 1024),
                 )
             # With 2 workers over 64 chunks, the failure sweeps the
-            # queue: most chunks are cancelled (then re-run inline,
-            # where the first re-raises without a retry budget).
+            # queue: most chunks are cancelled and never run.
             assert ex.last_run_cancelled > 0
 
     def test_timeline_records_on_pool_path(self):
@@ -217,70 +197,3 @@ class TestExplicitRangesSemantics:
             )
         assert len(timeline.records) == 4
         _covers(sorted((r.start, r.end) for r in timeline.records), 2048)
-
-
-class TestLastRunSnapshotSemantics:
-    """``last_run_retries`` / ``last_run_cancelled`` are a *snapshot* of
-    the most recently finished run — concurrent runs on a shared
-    executor never blend their counters (each run carries its own
-    ``_RunState``; the attribute is overwritten, not accumulated)."""
-
-    def test_concurrent_runs_do_not_blend_counters(self):
-        ex = ChunkedExecutor(2)
-        barrier = threading.Barrier(2, timeout=5.0)
-
-        def make_flaky(budget):
-            remaining = {"n": budget}
-            entered = {"done": False}
-
-            def fn(start, end):
-                if not entered["done"]:
-                    # Rendezvous once: both runs are in-flight on the
-                    # shared executor before either starts retrying.
-                    entered["done"] = True
-                    barrier.wait()
-                if remaining["n"] > 0:
-                    remaining["n"] -= 1
-                    raise RuntimeError("transient")
-
-            return fn
-
-        def launch(budget, errors):
-            try:
-                ex.run(
-                    256,
-                    256,
-                    make_flaky(budget),
-                    retry_policy=RetryPolicy(max_retries=5),
-                )
-            except Exception as error:  # pragma: no cover - defensive
-                errors.append(error)
-
-        errors = []
-        threads = [
-            threading.Thread(target=launch, args=(budget, errors))
-            for budget in (2, 3)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        ex.close()
-        assert not errors
-        # A blended (accumulating) counter would read 5; the snapshot
-        # must be exactly one run's count.
-        assert ex.last_run_retries in (2, 3)
-
-    def test_snapshot_updates_on_each_finish(self):
-        with ChunkedExecutor(1) as ex:
-            remaining = {"n": 2}
-
-            def flaky(start, end):
-                if remaining["n"] > 0:
-                    remaining["n"] -= 1
-                    raise RuntimeError("transient")
-
-            ex.run(4, 4, flaky, retry_policy=RetryPolicy(max_retries=3))
-            assert ex.last_run_retries == 2
-            ex.run(4, 4, lambda s, e: None)
-            assert ex.last_run_retries == 0

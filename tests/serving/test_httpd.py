@@ -24,12 +24,21 @@ def endpoint():
     host, port = httpd.server_address[:2]
     yield f"http://{host}:{port}", server
     httpd.shutdown()
+    httpd.server_close()
     server.close()
 
 
+def _open(request):
+    try:
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        error.close()  # release the connection; callers only read .code
+        raise
+
+
 def _get(url):
-    with urllib.request.urlopen(url, timeout=10.0) as response:
-        return response.status, json.loads(response.read())
+    return _open(url)
 
 
 def _post(url, payload):
@@ -39,8 +48,7 @@ def _post(url, payload):
         headers={"Content-Type": "application/json"},
         method="POST",
     )
-    with urllib.request.urlopen(request, timeout=10.0) as response:
-        return response.status, json.loads(response.read())
+    return _open(request)
 
 
 class TestEndpoints:

@@ -8,8 +8,9 @@ import pytest
 
 from repro.api import CPUCompiler
 from repro.diagnostics import ErrorCode
+from repro.runtime.ladder import reference_output
 from repro.serving import ModelNotFoundError, ModelRegistry
-from repro.spn import log_likelihood
+from repro.spn import JointProbability, log_likelihood
 
 from ..conftest import make_discrete_spn, make_gaussian_spn
 
@@ -81,7 +82,9 @@ class TestPublish:
             [rng.integers(0, 3, size=16), rng.integers(0, 4, size=16)]
         ).astype(np.float64)
         np.testing.assert_allclose(
-            version.interpret(inputs), log_likelihood(spn, inputs), atol=1e-12
+            reference_output(version.spn, inputs, JointProbability()),
+            log_likelihood(spn, inputs),
+            atol=1e-12,
         )
         registry.close()
 

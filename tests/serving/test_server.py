@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.diagnostics import AdmissionError, DeadlineError, ExecutionError
-from repro.runtime.threadpool import RetryPolicy
+from repro.runtime import RetryPolicy
 from repro.serving import (
     BreakerConfig,
     CircuitBreaker,
@@ -117,6 +117,17 @@ class TestDegradationLadder:
             )
         breaker = server.health()["models"]["m"]["breaker"]
         assert breaker["trip_count"] >= 1
+
+    def test_transient_fault_is_retried_on_the_kernel(self, server, rng):
+        # One fault, one retry: the kernel itself answers, so nothing is
+        # degraded and the breaker is never charged.
+        with faults.inject_kernel_failure(times=1) as fault:
+            result = server.submit("m", rng.normal(size=2)).result(timeout=10.0)
+        assert fault.fired == 1
+        assert result.degraded is False
+        stats = server.health()["models"]["m"]
+        assert stats["retries"] == 1
+        assert stats["breaker"]["state"] == CircuitBreaker.CLOSED
 
     def test_nan_poisoning_detected_and_degraded(self, server, rng):
         spn = make_gaussian_spn()

@@ -76,7 +76,7 @@ def test_ablation_cse(benchmark):
         module = bufferize(module)
         remove_result_copies(module)
         insert_deallocations(module)
-        lowered = lower_kernel_to_cpu(module, CPULoweringOptions(vectorize=True))
+        lowered = lower_kernel_to_cpu(module, CPULoweringOptions(vectorize="lanes"))
         eliminated = run_cse(lowered) if run_cse_pass else 0
         return len(lowered.walk()), eliminated
 

@@ -97,86 +97,6 @@ def test_scaling_curve(benchmark):
     report.note(f"wrote {path}")
 
 
-def test_partition_parallelism(benchmark):
-    """Analysis-gated partition-level task parallelism (BENCH row).
-
-    Compiles a wide SPN whose partitions the memory-access analysis
-    proves disjoint, runs the wave schedule on the worker pool and
-    records serial-vs-parallel wall-clock plus the schedule shape into
-    ``BENCH_cpu.json`` as ``partition_parallelism``. Correctness is a
-    hard gate (bit-identical to serial); the speedup is recorded, not
-    gated — the win depends on partition count and task width.
-    """
-    from .common import time_callable
-    from repro.spn import Gaussian, Product, Sum
-
-    leaf = lambda f: Gaussian(f, 0.0, 1.0)  # noqa: E731
-    products = [
-        Product([leaf(2 * i), leaf(2 * i + 1)]) for i in range(8)
-    ]
-    spn = Sum(products, [1.0 / 8] * 8)
-    rng = np.random.default_rng(7)
-    inputs = rng.normal(size=(MIN_ROWS, 16)).astype(np.float32)
-    query = JointProbability(batch_size=BATCH_HINT)
-
-    serial = compile_spn(
-        spn,
-        query,
-        CompilerOptions(vectorize="batch", max_partition_size=8),
-    ).executable
-    parallel = compile_spn(
-        spn,
-        query,
-        CompilerOptions(
-            vectorize="batch",
-            max_partition_size=8,
-            partition_parallel=True,
-            num_threads=4,
-        ),
-    ).executable
-    try:
-        assert parallel.parallel_plan is not None, (
-            "parallelize-partitions did not fire on a provably "
-            "disjoint task graph"
-        )
-        expected = serial.execute(inputs)
-        observed = parallel.execute(inputs)
-        assert np.array_equal(expected, observed), (
-            "partition-parallel execution must be bit-identical to serial"
-        )
-        waves = parallel.last_waves
-        wall_serial = float(time_callable(lambda: serial.execute(inputs)))
-        wall_parallel = float(time_callable(lambda: parallel.execute(inputs)))
-    finally:
-        serial.close()
-        parallel.close()
-    benchmark(lambda: None)
-
-    speedup = wall_serial / wall_parallel if wall_parallel > 0 else 0.0
-    report.add("partition-parallel speedup", speedup)
-    report.note(
-        f"waves: {[len(w) for w in waves]} (tasks per wave), "
-        f"serial {wall_serial:.4f}s vs parallel {wall_parallel:.4f}s"
-    )
-    path = write_bench_json(
-        "cpu",
-        {
-            "partition_parallelism": {
-                "waves": waves,
-                "num_tasks": sum(len(w) for w in waves),
-                "parallel_wave_width": max(len(w) for w in waves),
-                "serial_seconds": wall_serial,
-                "parallel_seconds": wall_parallel,
-                "speedup": speedup,
-                "bit_identical": True,
-                "workers": 4,
-            }
-        },
-        merge=True,
-    )
-    report.note(f"wrote {path}")
-
-
 def test_scaling_gate(benchmark):
     if os.environ.get("REPRO_SCALING_GATE") != "1":
         pytest.skip("measured scaling gate disabled (set REPRO_SCALING_GATE=1)")

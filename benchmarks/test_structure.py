@@ -12,8 +12,7 @@ baselines. On top of that, each head's root mixture gets a planted
 near-zero tail (exact zeros plus a 1e-200 sliver) so the range-gated
 ``structure-prune`` pass measurably fires within its accuracy budget.
 
-Measured per structure_opt spelling (none / cse / cse,prune /
-cse,prune,compress):
+Measured per structure_opt spelling (none / cse / cse,prune):
 
 - per-pass HiSPN op-count deltas and pass wall time (from the
   PassManager instrumentation),
@@ -51,8 +50,7 @@ from repro.testing.oracle import DifferentialOracle, clamp_to_modeled_domain
 
 from .common import FigureReport, round_to, scaled, time_callable, write_bench_json
 
-#: Shared accuracy budget for the lossy suites (matches the fuzzer
-#: default, split by the ladder across prune/compress).
+#: Accuracy budget of the lossy suite (matches the fuzzer default).
 BUDGET = 0.05
 
 #: (row label, CompilerOptions structure kwargs) per measured variant.
@@ -60,10 +58,6 @@ VARIANTS = (
     ("baseline", {"structure_opt": "none"}),
     ("cse", {"structure_opt": "cse"}),
     ("cse+prune", {"structure_opt": "cse,prune", "accuracy_budget": BUDGET}),
-    (
-        "cse+prune+compress",
-        {"structure_opt": "cse,prune,compress", "accuracy_budget": BUDGET},
-    ),
 )
 
 report = FigureReport(
@@ -208,11 +202,10 @@ def test_structure_suite(benchmark):
     assert variants["cse"]["bit_exact_vs_baseline"], (
         "structure-cse must be bit-exact against the unoptimized kernel"
     )
-    for lossy in ("cse+prune", "cse+prune+compress"):
-        assert variants[lossy]["max_abs_error"] <= BUDGET, (
-            f"{lossy}: max |Δ log-likelihood| "
-            f"{variants[lossy]['max_abs_error']:.3e} exceeds budget {BUDGET}"
-        )
+    assert opt["max_abs_error"] <= BUDGET, (
+        f"cse+prune: max |Δ log-likelihood| "
+        f"{opt['max_abs_error']:.3e} exceeds budget {BUDGET}"
+    )
 
     # --- acceptance: >= 30% HiSPN op reduction from cse+prune -------------
     assert opt["op_reduction"] >= 0.30, (

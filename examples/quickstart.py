@@ -33,7 +33,7 @@ def main():
 
     # collect_ir keeps a textual dump of each pipeline stage.
     result = compile_spn(
-        spn, query, CompilerOptions(vectorize=True, superword_factor=4, collect_ir=True)
+        spn, query, CompilerOptions(vectorize="lanes", superword_factor=4, collect_ir=True)
     )
 
     for stage in ("frontend", "lower-to-lospn", "cpu-lowering"):

@@ -53,7 +53,7 @@ def main():
     for psize in (400, 1500, 6000, 20000):
         start = time.perf_counter()
         result = compile_spn(
-            spn, query, CompilerOptions(max_partition_size=psize, vectorize=True)
+            spn, query, CompilerOptions(max_partition_size=psize, vectorize="lanes")
         )
         compile_s = time.perf_counter() - start
         start = time.perf_counter()
@@ -67,7 +67,7 @@ def main():
     print(f"  {'level':>9} {'compile':>9} {'execute':>9}")
     for opt in (0, 1, 2, 3):
         options = CompilerOptions(
-            max_partition_size=2500, vectorize=True, opt_level=opt
+            max_partition_size=2500, vectorize="lanes", opt_level=opt
         )
         start = time.perf_counter()
         result = compile_spn(spn, query, options)
@@ -78,7 +78,7 @@ def main():
         print(f"  {'-O' + str(opt):>9} {compile_s:>8.2f}s {exec_s:>8.3f}s")
 
     print("\nclassifying the test set with the compiled kernels (-O1, 2500):")
-    options = CompilerOptions(max_partition_size=2500, vectorize=True)
+    options = CompilerOptions(max_partition_size=2500, vectorize="lanes")
     start = time.perf_counter()
     scores = np.stack(
         [compile_spn(r, query, options).executable(inputs) for r in roots], axis=1

@@ -58,8 +58,8 @@ def main():
             f"({stats.gaussian_share:.0%} Gaussian leaves, depth {stats.depth})"
         )
 
-    cpu = CPUCompiler(batch_size=4096, vectorize=True)
-    cpu_marginal = CPUCompiler(batch_size=4096, vectorize=True, support_marginal=True)
+    cpu = CPUCompiler(batch_size=4096, vectorize="lanes")
+    cpu_marginal = CPUCompiler(batch_size=4096, vectorize="lanes", support_marginal=True)
     gpu = GPUCompiler(batch_size=64)
 
     print("\nclean speech identification:")
@@ -73,7 +73,7 @@ def main():
     identify(cpu_marginal, spns, dataset.noisy, dataset.noisy_labels, "SPNC CPU (AVX2)")
 
     print("\nmulti-head kernel (all speakers in one compiled kernel):")
-    multi = CPUCompiler(batch_size=4096, vectorize=True)
+    multi = CPUCompiler(batch_size=4096, vectorize="lanes")
     multi.compile(list(spns))  # compile once up front
     start = time.perf_counter()
     predictions = multi.classify(spns, dataset.clean)

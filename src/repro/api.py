@@ -7,7 +7,7 @@ directly from Python with as little as a single API call."
 Example::
 
     from repro import CPUCompiler
-    log_probs = CPUCompiler(vectorize=True).log_likelihood(spn, inputs)
+    log_probs = CPUCompiler(vectorize="lanes").log_likelihood(spn, inputs)
 
 Compilers cache the compiled kernel per SPN graph, so repeated
 ``log_likelihood`` calls on the same model only compile once. Cache
@@ -206,10 +206,10 @@ class _CompilerBase:
 
     def _fingerprint(self, query: Query, target: str) -> tuple:
         # Normalize through CompilerOptions so equivalent spellings (e.g.
-        # vectorize=True vs "lanes") share a cache entry while any change
-        # to the vectorization mode/width/veclib configuration — or any
-        # other kernel-affecting option — recompiles instead of returning
-        # a stale kernel. The query contributes its kind plus every
+        # an explicit structure_opt vs the one the -O ladder derives)
+        # share a cache entry while any change to the vectorization
+        # mode/width/veclib configuration — or any other kernel-affecting
+        # option — recompiles instead of returning a stale kernel. The query contributes its kind plus every
         # descriptor field (covering kind-specific fields such as
         # ``query_variables`` and ``moment``), so e.g. conditionals over
         # different variable sets never share a kernel.

@@ -30,7 +30,7 @@ vectorization *without* a veclib is slower than scalar code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ...dialects import (
     arith,
@@ -76,22 +76,14 @@ ISAS = {isa.name: isa for isa in (AVX2, AVX512, NEON)}
 VECTORIZE_MODES = ("off", "lanes", "batch")
 
 
-def normalize_vectorize_mode(value: Union[bool, str, None]) -> str:
-    """Canonicalize a user-facing ``vectorize`` spelling to a mode name.
-
-    Booleans are accepted for backward compatibility: ``True`` selects
-    the fixed-lane strategy (the pre-batch meaning of ``vectorize=True``)
-    and ``False``/``None`` disable vectorization.
-    """
-    if value is True:
-        return "lanes"
-    if value is False or value is None:
-        return "off"
+def normalize_vectorize_mode(value: str) -> str:
+    """Validate a user-facing ``vectorize`` spelling (one of
+    :data:`VECTORIZE_MODES`)."""
     if value in VECTORIZE_MODES:
         return value
     raise ValueError(
         f"unknown vectorize mode {value!r} "
-        f"(expected one of {', '.join(VECTORIZE_MODES)}, or a bool)"
+        f"(expected one of {', '.join(VECTORIZE_MODES)})"
     )
 
 
@@ -99,8 +91,8 @@ def normalize_vectorize_mode(value: Union[bool, str, None]) -> str:
 class CPULoweringOptions:
     """Configuration of the CPU mapping strategy (paper Section V-A1)."""
 
-    #: "off" | "lanes" | "batch" (bools accepted: True == "lanes").
-    vectorize: Union[bool, str] = False
+    #: "off" | "lanes" | "batch".
+    vectorize: str = "off"
     isa: VectorISA = AVX2
     use_vector_library: bool = True
     use_shuffle: bool = True

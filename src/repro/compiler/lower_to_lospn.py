@@ -260,7 +260,7 @@ def _lower_joint_query(
     scaffold = _Scaffold(query, builder, kernel_name, ct, num_heads)
 
     graph = query.graph
-    groups = _sum_groups(graph)
+    groups = sum_groups(graph)
     bb = scaffold.body_builder
     mapping: Dict[Value, Value] = {}
     root_values: Optional[List[Value]] = None
@@ -294,7 +294,7 @@ def _lower_joint_query(
     scaffold.finish(root_values)
 
 
-def _sum_groups(graph: hispn.GraphOp) -> Dict[Operation, List[Operation]]:
+def sum_groups(graph: hispn.GraphOp) -> Dict[Operation, List[Operation]]:
     """The graph's sum layers, keyed by the first sum of each.
 
     Sums over one identical operand list form a layer (the ``num_sums``

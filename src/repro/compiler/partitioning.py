@@ -33,9 +33,7 @@ described in the paper:
   and partition boundaries are snapped to *clean cuts* — positions where
   no SSA value is live across the boundary — so independent subtrees
   land in separate partitions with no cross imports. The resulting
-  partition dependence graph is wide rather than a chain, which is what
-  lets the `parallelize-partitions` pass prove partitions independent
-  and run them concurrently (ROADMAP item 5 stretch goal).
+  partition dependence graph is wide rather than a chain.
 
 After assignment the kernel is rewritten: one ``lo_spn.task`` per
 partition, with cross-partition values communicated through intermediate

@@ -79,7 +79,6 @@ STAGE_NAMES = (
     "hispn-simplify",
     "structure-cse",
     "structure-prune",
-    "structure-compress",
     "lower-to-lospn",
     "lospn-cse",
     "graph-partitioning",
@@ -112,21 +111,12 @@ class CompilerOptions:
     # batch-loop strategy: "batch" (default — whole-chunk NumPy vector
     # kernels), "lanes" (fixed ISA-width vectors + scalar epilogue, for
     # the fig06/fig11 design-space exploration) or "off" (scalar loop).
-    # Bools are accepted for backward compatibility (True == "lanes").
-    vectorize: "bool | str" = "batch"
+    vectorize: str = "batch"
     vector_isa: str = "avx2"
     use_vector_library: bool = True
     use_shuffle: bool = True
     superword_factor: int = 128
     num_threads: int = 1
-    #: Analysis-gated partition-level task parallelism (CPU): run the
-    #: ``parallelize-partitions`` pass, which proves partitions of the
-    #: task graph disjoint via the memory-access summaries and attaches
-    #: a wave schedule; ``CPUExecutable`` then executes each wave's
-    #: tasks concurrently on its worker pool. Off by default — the pass
-    #: only ever fires where disjointness is proven, and results stay
-    #: bit-identical to serial execution.
-    partition_parallel: bool = False
     # Target-independent knobs.
     max_partition_size: Optional[int] = None
     use_log_space: bool = True
@@ -134,15 +124,12 @@ class CompilerOptions:
     #: the HiSPN graph rewrites run before lowering. ``None`` derives
     #: the set from the -O ladder (-O3 enables "cse,prune"; lower levels
     #: none); "none"/"off" disables explicitly; otherwise a comma list
-    #: drawn from {cse, prune, compress} applied in the given order.
-    #: "cse" is exact; "prune"/"compress" are lossy and honor
-    #: ``accuracy_budget``.
+    #: drawn from {cse, prune} applied in the given order. "cse" is
+    #: exact; "prune" is lossy and honors ``accuracy_budget``.
     structure_opt: Optional[str] = None
     #: Maximum acceptable absolute log-likelihood error introduced by
-    #: the lossy structure passes, split evenly among the enabled lossy
-    #: passes. 0.0 (default) restricts pruning to exactly-zero weights
-    #: (semantics-preserving) and forbids compression, which needs a
-    #: positive budget to be legal.
+    #: pruning. 0.0 (default) restricts pruning to exactly-zero weights
+    #: (semantics-preserving).
     accuracy_budget: float = 0.0
     #: Query modality compiled when no explicit Query object is passed:
     #: "joint" (default), "mpe", "sample", "conditional", "expectation".
@@ -201,10 +188,6 @@ class CompilerOptions:
             raise OptionsError("num_threads must be >= 1")
         if self.streams < 1:
             raise OptionsError("streams must be >= 1")
-        if self.partition_parallel and self.target != "cpu":
-            raise OptionsError(
-                "partition_parallel is only supported on the cpu target"
-            )
         if self.query not in QUERY_KINDS:
             raise OptionsError(
                 f"unknown query kind '{self.query}' "
@@ -228,12 +211,7 @@ class CompilerOptions:
             raise OptionsError("accuracy_budget must be a number") from None
         if self.accuracy_budget < 0:
             raise OptionsError("accuracy_budget must be >= 0")
-        passes = self.structure_passes()  # validates structure_opt
-        if "compress" in passes and self.accuracy_budget <= 0:
-            raise OptionsError(
-                "structure_opt='compress' requires accuracy_budget > 0 "
-                "(low-rank factorization perturbs the distribution)"
-            )
+        self.structure_passes()  # validates structure_opt
 
     def cache_fingerprint(self) -> tuple:
         """Normalized tuple of every option that affects the compiled
@@ -249,7 +227,6 @@ class CompilerOptions:
             self.use_shuffle,
             self.superword_factor,
             self.num_threads,
-            self.partition_parallel,
             self.max_partition_size,
             self.use_log_space,
             self.gpu_block_size,
@@ -267,7 +244,7 @@ class CompilerOptions:
         )
 
     #: Recognized structure-suite pass names, in canonical run order.
-    STRUCTURE_PASSES = ("cse", "prune", "compress")
+    STRUCTURE_PASSES = ("cse", "prune")
 
     def structure_passes(self) -> tuple:
         """Resolved structure-suite pass names, in run order.
@@ -296,11 +273,8 @@ class CompilerOptions:
         return tuple(passes)
 
     def structure_budget_share(self) -> float:
-        """Per-pass accuracy budget: the total split across lossy passes."""
-        lossy = [p for p in self.structure_passes() if p != "cse"]
-        if not lossy:
-            return 0.0
-        return self.accuracy_budget / len(lossy)
+        """Accuracy budget of the one lossy pass (prune); 0 when it is off."""
+        return self.accuracy_budget if "prune" in self.structure_passes() else 0.0
 
     def make_query(self) -> Query:
         """The :class:`~repro.spn.query.Query` these options describe."""

@@ -41,11 +41,7 @@ from .balance import balance_chains
 from .bufferization import bufferize, insert_deallocations, remove_result_copies
 from .frontend import build_hispn_module
 from .hispn_passes import HiSPNSimplifyPass as HiSPNSimplifyStage  # noqa: F401
-from .structure import (  # noqa: F401
-    StructureCSEStage,
-    StructureCompressStage,
-    StructurePruneStage,
-)
+from .structure import StructureCSEStage, StructurePruneStage  # noqa: F401
 from .lower_to_lospn import lower_to_lospn
 from .partitioning import PartitioningOptions, PartitioningStats, partition_kernel
 
@@ -65,10 +61,6 @@ class KernelInfo:
     #: the query lowering as a JSON ``queryPlan`` kernel attribute; the
     #: runtime wrapper in :mod:`repro.runtime.query_executable` reads it.
     query_plan: Optional[dict] = None
-    #: Analysis-proven wave schedule attached by ``parallelize-partitions``
-    #: as a JSON ``parallelSchedule`` kernel attribute; ``CPUExecutable``
-    #: runs the waves concurrently (see :class:`ParallelizePartitionsPass`).
-    parallel_plan: Optional[dict] = None
 
 
 def capture_kernel_info(module: ModuleOp) -> KernelInfo:
@@ -89,7 +81,6 @@ def capture_kernel_info(module: ModuleOp) -> KernelInfo:
     input_type = first.arg_types[0]
     result_type = first.arg_types[-1]
     plan_text = first.attributes.get("queryPlan")
-    parallel_text = first.attributes.get("parallelSchedule")
     return KernelInfo(
         kernel_name=first.sym_name,
         num_features=input_type.shape[1],
@@ -99,7 +90,6 @@ def capture_kernel_info(module: ModuleOp) -> KernelInfo:
         num_results=result_type.shape[0] or 1,
         num_tasks=num_tasks,
         query_plan=json.loads(plan_text) if plan_text else None,
-        parallel_plan=json.loads(parallel_text) if parallel_text else None,
     )
 
 
@@ -209,96 +199,6 @@ class BufferDeallocationPass(Pass):
         insert_deallocations(op)
 
 
-class ParallelizePartitionsPass(Pass):
-    """Mark provably-independent partitions for concurrent execution.
-
-    Consults the memory-access summaries
-    (:mod:`repro.ir.analysis.memory_access`) over the bufferized kernel
-    and, when the task dependence DAG has a wave of two or more
-    pairwise-disjoint tasks, attaches the wave schedule as a JSON
-    ``parallelSchedule`` kernel attribute. ``CPUExecutable`` executes
-    the waves on its worker pool; the ``concurrency`` check re-verifies
-    any attached schedule from the raw access summaries on every
-    ``verify_each`` run, so the proof never goes stale silently.
-
-    The pass refuses to fire — leaving execution serial — whenever the
-    summaries are imprecise, a task is wired to anything but the kernel
-    input / output / an intermediate allocation, or an intermediate's
-    shape is not the expected ``[static rows x dynamic batch]``.
-    """
-
-    name = "parallelize-partitions"
-
-    def run(self, op: Operation) -> None:
-        import json
-
-        for kernel in op.walk():
-            if kernel.op_name != lospn.KernelOp.name:
-                continue
-            plan = self._build_schedule(kernel)
-            if plan is not None:
-                kernel.attributes["parallelSchedule"] = json.dumps(
-                    plan, sort_keys=True
-                )
-
-    @staticmethod
-    def _build_schedule(kernel: Operation) -> Optional[dict]:
-        from ..backends.cpu.codegen import numpy_dtype
-        from ..ir.analysis.memory_access import (
-            dependence_waves,
-            summarize_kernel,
-        )
-        from ..ir.types import MemRefType
-
-        summaries = summarize_kernel(kernel)
-        if len(summaries) < 2 or not all(s.precise for s in summaries):
-            return None
-        waves = dependence_waves(summaries)
-        if max(len(wave) for wave in waves) < 2:
-            return None
-
-        entry = kernel.regions[0].entry_block
-        arg_index = {id(arg): i for i, arg in enumerate(entry.arguments)}
-        allocs = [o for o in entry.ops if o.op_name == "memref.alloc"]
-        buf_index = {id(a.results[0]): i for i, a in enumerate(allocs)}
-
-        buffers = []
-        for alloc in allocs:
-            ty = alloc.results[0].type
-            if (
-                not isinstance(ty, MemRefType)
-                or ty.rank != 2
-                or not isinstance(ty.shape[0], int)
-                or ty.shape[1] is not None
-            ):
-                return None
-            buffers.append(
-                {
-                    "rows": ty.shape[0],
-                    "dtype": np.dtype(numpy_dtype(ty.element_type)).name,
-                }
-            )
-
-        tasks = []
-        for summary in summaries:
-            wiring = []
-            for operand in summary.op.operands:
-                if id(operand) in arg_index:
-                    wiring.append(["arg", arg_index[id(operand)]])
-                elif id(operand) in buf_index:
-                    wiring.append(["buf", buf_index[id(operand)]])
-                else:
-                    return None
-            tasks.append({"args": wiring})
-
-        return {
-            "waves": waves,
-            "buffers": buffers,
-            "tasks": tasks,
-            "num_args": len(entry.arguments),
-        }
-
-
 class CPULoweringPass(Pass):
     """LoSPN → func/scf/vector CPU form (Section IV-B)."""
 
@@ -315,7 +215,7 @@ class CPULoweringPass(Pass):
 
     def __init__(
         self,
-        vectorize: "bool | str" = "batch",
+        vectorize: str = "batch",
         vector_isa: str = "avx2",
         use_vector_library: bool = True,
         use_shuffle: bool = True,

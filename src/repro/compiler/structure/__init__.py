@@ -1,16 +1,14 @@
 """Structure-level optimization suite for the HiSPN dialect.
 
-Three separately registered passes that rewrite the SPN *structure*
-before lowering (ROADMAP item 4; architecture §17):
+Two separately registered passes that rewrite the SPN *structure*
+before lowering (architecture §17):
 
 - ``structure-cse`` (:mod:`.cse`) — graph-level CSE merging isomorphic
   sub-SPNs into shared references; exact.
 - ``structure-prune`` (:mod:`.prune`) — near-zero-weight pruning with
   renormalization under an accuracy budget.
-- ``structure-compress`` (:mod:`.lowrank`) — low-rank factorization of
-  dense sum layers (truncated SVD + NMF) under an accuracy budget.
 
-All three are built on the shared canonical sub-SPN hashing in
+Both are built on the shared canonical sub-SPN hashing in
 :mod:`.canonical`; :mod:`.stats` profiles the opportunities and
 :mod:`.export` converts optimized graphs back to serializable node DAGs.
 """
@@ -18,13 +16,6 @@ All three are built on the shared canonical sub-SPN hashing in
 from .canonical import CanonicalIndex, each_graph, graph_ops, sum_depth
 from .cse import StructureCSEStage, cse_graph, cse_module
 from .export import graph_to_spn, module_to_spn
-from .lowrank import (
-    StructureCompressStage,
-    compress_graph,
-    compress_module,
-    factor_layer,
-    find_dense_layers,
-)
 from .prune import StructurePruneStage, prune_graph, prune_module
 from .ranges import (
     path_multiplicities,
@@ -37,15 +28,10 @@ from .stats import graph_structure_stats, render_structure_stats, structure_stat
 __all__ = [
     "CanonicalIndex",
     "StructureCSEStage",
-    "StructureCompressStage",
     "StructurePruneStage",
-    "compress_graph",
-    "compress_module",
     "cse_graph",
     "cse_module",
     "each_graph",
-    "factor_layer",
-    "find_dense_layers",
     "graph_ops",
     "graph_structure_stats",
     "graph_to_spn",

@@ -1,6 +1,6 @@
 """Canonical hashing of sub-SPNs inside a ``hi_spn.graph``.
 
-The structure suite (graph CSE, pruning, low-rank compression) needs one
+The structure suite (graph CSE, pruning) needs one
 shared answer to "are these two sub-DAGs the same distribution?". This
 module value-numbers every SSA value in a graph: two values receive the
 same *canonical class id* iff the sub-SPNs rooted at them are isomorphic

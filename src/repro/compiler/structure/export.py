@@ -4,9 +4,7 @@ The frontend translation (:func:`repro.compiler.frontend.build_hispn_module`)
 maps node DAGs to HiSPN 1:1; this is its inverse, so a structurally
 optimized module can be persisted through the existing
 :mod:`repro.spn.serialization` binary format and recompiled later —
-shared sub-SPNs stay shared (one :class:`Node` per SSA value) and
-factored sum layers come back as the two thinner layers the compression
-pass created.
+shared sub-SPNs stay shared (one :class:`Node` per SSA value).
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
-"""Modeled-domain value ranges and budget allocation for lossy passes.
+"""Modeled-domain value ranges and budget allocation for pruning.
 
-The lossy structure passes (pruning, low-rank compression) promise a
-bound on the absolute log-likelihood perturbation of the whole model —
-the *accuracy budget*. Weight-space reasoning alone cannot deliver such
+The lossy structure pass (pruning) promises a bound on the absolute
+log-likelihood perturbation of the whole model — the *accuracy budget*. Weight-space reasoning alone cannot deliver such
 a bound: a mixture component with a tiny weight can still be the only
 component covering part of the input space, and dropping it collapses
 the likelihood there to zero (log -inf). The sound criterion needs

@@ -3,8 +3,9 @@
 Computed on HiSPN before any structure pass runs, so the report is an
 *opportunity* profile: how much duplicate structure graph CSE would
 merge, how much near-zero weight mass pruning could drop at a given
-budget, and which dense sum layers are candidates for low-rank
-compression. Surfaced as ``python -m repro analyze --structure-stats
+budget, and which dense sum layers (>= 2 sums over one list of >= 2
+children) the lowering will emit as one ``lo_spn.weighted_sum``.
+Surfaced as ``python -m repro analyze --structure-stats
 <model>`` with both text and JSON output.
 """
 
@@ -15,8 +16,8 @@ from typing import Dict, List
 
 from ...dialects import hispn
 from ...ir.ops import Operation
+from ..lower_to_lospn import sum_groups
 from .canonical import CanonicalIndex, each_graph, graph_ops, sum_depth
-from .lowrank import find_dense_layers
 
 #: Weight-histogram bucket edges (decades); weights below the smallest
 #: edge land in the first bucket, the rest in [edge, next_edge).
@@ -64,7 +65,11 @@ def graph_structure_stats(graph: Operation) -> Dict[str, object]:
     distinct = len(
         {index.class_id(op.results[0]) for op in ops}
     )
-    layers = find_dense_layers(graph)
+    layers = [
+        members
+        for members in sum_groups(graph).values()
+        if len(members) >= 2 and len(members[0].operands) >= 2
+    ]
     return {
         "ops": len(ops),
         "ops_by_kind": dict(sorted(counts.items())),

@@ -71,10 +71,8 @@ def structure_pipeline(options: "CompilerOptions") -> List[str]:
     """The structure-level optimization leg (architecture §17).
 
     Resolved from ``CompilerOptions.structure_passes()``: -O3 enables
-    CSE + pruning by default, compression is opt-in via
-    ``structure_opt``. Lossy passes split ``accuracy_budget`` evenly;
-    the per-pass share is printed only when non-zero so the default
-    pipelines stay minimal.
+    CSE + pruning by default. Pruning's ``accuracy_budget`` is printed
+    only when non-zero so the default pipelines stay minimal.
     """
     share = options.structure_budget_share()
     items: List[str] = []
@@ -225,12 +223,7 @@ class CPUTarget(Target):
     def target_leg(
         self, options: "CompilerOptions", query: JointProbability
     ) -> List[str]:
-        items = []
-        if options.partition_parallel:
-            # Opt-in: prove task disjointness and attach the wave
-            # schedule before the tasks are lowered away.
-            items.append("parallelize-partitions")
-        items.append(
+        items = [
             pass_spec(
                 "cpu-lowering",
                 _explicit(
@@ -244,7 +237,7 @@ class CPUTarget(Target):
                     CPULoweringPass.defaults,
                 ),
             )
-        )
+        ]
         items.extend(cleanup_passes(options.opt_level, licm=self.spec.uses_licm))
         return items
 
@@ -271,7 +264,6 @@ class CPUTarget(Target):
             info.kernel_name,
             self._signature(info, query),
             num_threads=options.num_threads,
-            parallel_plan=info.parallel_plan if options.partition_parallel else None,
         )
 
 

@@ -43,7 +43,6 @@ from .memory_access import (
     MemoryAccessSummary,
     check_concurrency,
     check_shard_plan,
-    dependence_waves,
     summarize_kernel,
 )
 from .range_analysis import RangeAnalysis, check_range
@@ -66,7 +65,6 @@ __all__ = [
     "check_lint",
     "check_range",
     "check_shard_plan",
-    "dependence_waves",
     "summarize_kernel",
     "verify_profile",
     "register_check",

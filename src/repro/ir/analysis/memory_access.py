@@ -1,23 +1,21 @@
-"""Per-``lo_spn.task`` memory-access summaries and the race detector.
+"""Per-``lo_spn.task`` memory-access summaries and the shard-race check.
 
-The concurrency-safety half of the paper's parallel execution story:
-PR 7 made shards and streams *dynamically* bit-identical, this analysis
-makes their disjointness a *statically checkable* fact, and the
-``parallelize-partitions`` pass consumes the proof to run independent
-partitions concurrently.
+The static half of the paper's row-sharded execution (Section IV-B):
+the chunked runtime makes shards *dynamically* bit-identical, this
+analysis makes their disjointness a *statically checkable* fact.
 
 For every task of a ``lo_spn.kernel`` the analysis computes a
 :class:`MemoryAccessSummary`: which shared buffers (kernel arguments
-and kernel-level allocations) the task reads and writes, with the
-touched rows of the static dimension as symbolic :class:`Interval`\\ s
-(the range-analysis lattice) and a *batch-confinement* bit per access —
-whether the dynamic (batch) dimension is always indexed by the task's
-batch induction variable. Accesses the summarizer cannot model (calls,
-copies, vector gathers, non-constant static indices) degrade to an
-*opaque* full-buffer read+write, which is sound: opaque accesses
-conflict with everything.
+and kernel-level allocations) the task writes, with the touched rows
+of the static dimension as a symbolic :class:`Interval` (the
+range-analysis lattice), and a *batch-confinement* bit per buffer —
+whether the dynamic (batch) dimension of every read and write is
+indexed by the task's batch induction variable. Accesses the
+summarizer cannot model (calls, copies, vector gathers, non-constant
+static indices) degrade to an *opaque* full-buffer, unconfined write,
+which is sound: opaque accesses conflict with everything.
 
-Three families of rules are reported under the ``concurrency`` check:
+One rule is reported under the ``concurrency`` check:
 
 - ``concurrency.shard-overlap`` (ERROR) — a task writes a shared buffer
   without confining the batch dimension to its batch index (e.g. a
@@ -25,25 +23,12 @@ Three families of rules are reported under the ``concurrency`` check:
   (PR 7) runs the same task on disjoint row ranges concurrently, so
   such a write races between shards. :func:`check_shard_plan` is the
   plan-level companion used to cross-check a concrete shard plan.
-- ``concurrency.task-race`` (ERROR) — two tasks placed in the same wave
-  of a declared ``parallelSchedule`` have a RAW/WAR/WAW conflict on a
-  shared buffer (overlapping row intervals with at least one write).
-- ``concurrency.schedule-order`` (ERROR) — a declared schedule orders a
-  dependent task before (or beside) its producer, or references task
-  indices that do not exist.
-
-:func:`dependence_waves` computes the maximal safe wave schedule from
-the summaries; ``parallelize-partitions`` attaches it to the kernel as
-the ``parallelSchedule`` attribute, and this check re-verifies any
-attached schedule from scratch on every ``verify_each`` run — the pass
-writes the proof, the analysis refuses to take it on faith.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...diagnostics import Severity
 from ..ops import Operation
@@ -52,18 +37,11 @@ from ..value import Value
 from .engine import AnalysisContext, AnalysisFinding, register_check
 from .lattices import BOTTOM, TOP, Interval
 
-#: Conflict kinds, named from the perspective of program order (the
-#: first task is the earlier one).
-RAW = "raw"
-WAR = "war"
-WAW = "waw"
-
 
 @dataclass
 class BufferAccess:
     """Summary of one task's accesses to one shared buffer."""
 
-    reads: Interval = BOTTOM
     writes: Interval = BOTTOM
     #: Every read/write indexes the batch dimension with the task's own
     #: batch induction variable (row-sharding is then race-free).
@@ -71,8 +49,7 @@ class BufferAccess:
     #: The summarizer could not model some access — assume full overlap.
     opaque: bool = False
 
-    def add_read(self, rows: Interval, confined: bool) -> None:
-        self.reads = self.reads.join(rows)
+    def add_read(self, confined: bool) -> None:
         self.batch_confined = self.batch_confined and confined
 
     def add_write(self, rows: Interval, confined: bool) -> None:
@@ -81,14 +58,14 @@ class BufferAccess:
 
     def make_opaque(self) -> None:
         self.opaque = True
-        self.reads = TOP
         self.writes = TOP
         self.batch_confined = False
 
 
 @dataclass
 class MemoryAccessSummary:
-    """Read/write sets of one ``lo_spn.task`` over shared buffers."""
+    """Write sets and batch confinement of one ``lo_spn.task`` over
+    shared buffers."""
 
     index: int
     op: Operation
@@ -103,50 +80,6 @@ class MemoryAccessSummary:
             entry = BufferAccess()
             self.accesses[buffer] = entry
         return entry
-
-
-def _intervals_overlap(a: Interval, b: Interval) -> bool:
-    if a.is_bottom or b.is_bottom:
-        return False
-    return a.lo <= b.hi and b.lo <= a.hi
-
-
-def conflicts(
-    first: MemoryAccessSummary, second: MemoryAccessSummary
-) -> List[Tuple[Value, str]]:
-    """RAW/WAR/WAW conflicts between two tasks (first = program-earlier)."""
-    found: List[Tuple[Value, str]] = []
-    for buffer, a in first.accesses.items():
-        b = second.accesses.get(buffer)
-        if b is None:
-            continue
-        if _intervals_overlap(a.writes, b.writes):
-            found.append((buffer, WAW))
-        if _intervals_overlap(a.writes, b.reads):
-            found.append((buffer, RAW))
-        if _intervals_overlap(a.reads, b.writes):
-            found.append((buffer, WAR))
-    return found
-
-
-def dependence_waves(summaries: Sequence[MemoryAccessSummary]) -> List[List[int]]:
-    """Topological wave levels of the task dependence DAG.
-
-    Tasks in the same wave are pairwise conflict-free by construction:
-    any pair with a conflict receives a dependence edge (program order
-    gives its direction), which forces them onto different levels.
-    """
-    levels: List[int] = []
-    for j, summary in enumerate(summaries):
-        level = 0
-        for i in range(j):
-            if conflicts(summaries[i], summary):
-                level = max(level, levels[i] + 1)
-        levels.append(level)
-    waves: List[List[int]] = [[] for _ in range(max(levels, default=-1) + 1)]
-    for index, level in enumerate(levels):
-        waves[level].append(index)
-    return waves
 
 
 # -- summarization -------------------------------------------------------------
@@ -223,9 +156,8 @@ def _summarize_op(op, summary, canonical, batch_index) -> None:
         buffer = canonical(op.operands[0])
         if buffer is None:
             return
-        rows = Interval.point(op.attributes.get("staticIndex", 0))
         confined = len(op.operands) > 1 and op.operands[1] is batch_index
-        summary.access(buffer).add_read(rows, confined)
+        summary.access(buffer).add_read(confined)
     elif name == "lo_spn.batch_write":
         buffer = canonical(op.operands[0])
         if buffer is None:
@@ -242,7 +174,7 @@ def _summarize_op(op, summary, canonical, batch_index) -> None:
         rows, confined = _explicit_indices(op, buffer_pos, batch_index)
         access = summary.access(buffer)
         if name == "memref.load":
-            access.add_read(rows, confined)
+            access.add_read(confined)
         else:
             access.add_write(rows, confined)
     elif name == "memref.dim":
@@ -256,7 +188,7 @@ def _summarize_op(op, summary, canonical, batch_index) -> None:
             if write:
                 access.add_write(TOP, False)
             else:
-                access.add_read(TOP, False)
+                access.add_read(False)
         summary.precise = False
     else:
         # Anything else touching a shared buffer is unmodeled: calls,
@@ -308,22 +240,6 @@ def _explicit_indices(
     return rows, confined
 
 
-# -- schedule parsing ----------------------------------------------------------
-
-
-def parse_schedule(kernel: Operation) -> Optional[Dict[str, Any]]:
-    """Decode the ``parallelSchedule`` attribute, if present."""
-    raw = kernel.attributes.get("parallelSchedule")
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        try:
-            raw = json.loads(raw)
-        except ValueError:
-            return None
-    return raw if isinstance(raw, dict) else None
-
-
 # -- the registered check ------------------------------------------------------
 
 
@@ -341,11 +257,7 @@ def check_concurrency(root: Operation, ctx: AnalysisContext) -> None:
         else [op for op in root.walk() if op.op_name == "lo_spn.kernel"]
     )
     for kernel in kernels:
-        summaries = summarize_kernel(kernel)
-        _check_shard_confinement(summaries, ctx)
-        schedule = parse_schedule(kernel)
-        if schedule is not None:
-            _check_schedule(kernel, summaries, schedule, ctx)
+        _check_shard_confinement(summarize_kernel(kernel), ctx)
 
 
 def _check_shard_confinement(
@@ -367,78 +279,6 @@ def _check_shard_confinement(
                 buffer=_describe(buffer),
                 rows=(access.writes.lo, access.writes.hi),
             )
-
-
-def _check_schedule(
-    kernel: Operation,
-    summaries: Sequence[MemoryAccessSummary],
-    schedule: Dict[str, Any],
-    ctx: AnalysisContext,
-) -> None:
-    waves = schedule.get("waves")
-    if not isinstance(waves, list):
-        return
-    num_tasks = len(summaries)
-    wave_of: Dict[int, int] = {}
-    for level, wave in enumerate(waves):
-        for index in wave:
-            if not isinstance(index, int) or not 0 <= index < num_tasks:
-                ctx.report(
-                    "concurrency.schedule-order",
-                    Severity.ERROR,
-                    f"parallelSchedule references task #{index}, but the "
-                    f"kernel has {num_tasks} task(s)",
-                    op=kernel,
-                )
-                return
-            if index in wave_of:
-                ctx.report(
-                    "concurrency.schedule-order",
-                    Severity.ERROR,
-                    f"parallelSchedule places task #{index} in more than "
-                    f"one wave",
-                    op=kernel,
-                )
-                return
-            wave_of[index] = level
-    if len(wave_of) != num_tasks:
-        missing = sorted(set(range(num_tasks)) - set(wave_of))
-        ctx.report(
-            "concurrency.schedule-order",
-            Severity.ERROR,
-            f"parallelSchedule omits task(s) {missing}",
-            op=kernel,
-        )
-        return
-    kinds = {RAW: "read-after-write", WAR: "write-after-read",
-             WAW: "write-after-write"}
-    for j in range(num_tasks):
-        for i in range(j):
-            for buffer, kind in conflicts(summaries[i], summaries[j]):
-                if wave_of[i] == wave_of[j]:
-                    ctx.report(
-                        "concurrency.task-race",
-                        Severity.ERROR,
-                        f"tasks #{i} and #{j} are scheduled in the same "
-                        f"wave but have a {kinds[kind].upper()} ({kind}) "
-                        f"conflict on {_describe(buffer)}",
-                        op=summaries[j].op,
-                        tasks=(i, j),
-                        kind=kind,
-                        buffer=_describe(buffer),
-                    )
-                elif wave_of[i] > wave_of[j]:
-                    ctx.report(
-                        "concurrency.schedule-order",
-                        Severity.ERROR,
-                        f"parallelSchedule runs task #{j} (wave "
-                        f"{wave_of[j]}) before its {kinds[kind]} "
-                        f"dependency task #{i} (wave {wave_of[i]}) on "
-                        f"{_describe(buffer)}",
-                        op=summaries[j].op,
-                        tasks=(i, j),
-                        kind=kind,
-                    )
 
 
 # -- shard-plan cross-check ----------------------------------------------------

@@ -269,16 +269,12 @@ def _register_builtin_passes() -> None:
     register_pass("hispn-simplify", _compiler_stage("HiSPNSimplifyStage"))
     register_pass("structure-cse", _compiler_stage("StructureCSEStage"))
     register_pass("structure-prune", _compiler_stage("StructurePruneStage"))
-    register_pass("structure-compress", _compiler_stage("StructureCompressStage"))
     register_pass("lower-to-lospn", _compiler_stage("LowerToLoSPNPass"))
     register_pass("partition", _compiler_stage("PartitionPass"))
     register_pass("balance-chains", _compiler_stage("BalanceChainsPass"))
     register_pass("bufferize", _compiler_stage("BufferizePass"))
     register_pass("buffer-optimization", _compiler_stage("BufferOptimizationPass"))
     register_pass("buffer-deallocation", _compiler_stage("BufferDeallocationPass"))
-    register_pass(
-        "parallelize-partitions", _compiler_stage("ParallelizePartitionsPass")
-    )
     register_pass("cpu-lowering", _compiler_stage("CPULoweringPass"))
     register_pass("gpu-lowering", _compiler_stage("GPULoweringPass"))
     register_pass("gpu-copy-elimination", _compiler_stage("GPUCopyEliminationPass"))

@@ -200,7 +200,6 @@ class CPUExecutable(Executable):
         entry_name: str,
         signature: KernelSignature,
         num_threads: int = 1,
-        parallel_plan: Optional[dict] = None,
     ):
         super().__init__(entry_name, signature)
         self.generated = generated
@@ -210,13 +209,6 @@ class CPUExecutable(Executable):
         #: Shard timeline of the most recent multi-threaded execution
         #: (worker names + per-chunk intervals; observability/benchmarks).
         self.last_timeline: Optional[ShardTimeline] = None
-        #: Analysis-proven wave schedule from ``parallelize-partitions``
-        #: (``None`` = serial task execution through the kernel entry).
-        self.parallel_plan = parallel_plan
-        self._parallel = self._prepare_parallel(parallel_plan)
-        #: Waves of the most recent partition-parallel execution
-        #: (``[]`` when the last run took the serial path).
-        self.last_waves: list = []
 
     def _release(self) -> None:
         """Release the worker thread pool and the kernel's buffer-pool
@@ -228,89 +220,6 @@ class CPUExecutable(Executable):
         if pool is not None:
             pool.close()
 
-    def _prepare_parallel(self, plan: Optional[dict]) -> Optional[dict]:
-        """Validate the compiler's wave schedule against this module.
-
-        Resolves the per-partition task functions and normalizes buffer
-        specs; any mismatch (missing task function, unexpected wiring,
-        unknown dtype) silently degrades to serial execution — the plan
-        is an optimization, never a correctness requirement.
-        """
-        if not plan:
-            return None
-        try:
-            if plan.get("num_args") != 2:
-                return None
-            buffers = [
-                (int(spec["rows"]), np.dtype(spec["dtype"]))
-                for spec in plan["buffers"]
-            ]
-            tasks = []
-            for index, spec in enumerate(plan["tasks"]):
-                fn = self.generated.get(f"{self.entry_name}_task_{index}")
-                wiring = []
-                for kind, ref in spec["args"]:
-                    if kind == "arg" and ref in (0, plan["num_args"] - 1):
-                        wiring.append(("arg", int(ref)))
-                    elif kind == "buf" and 0 <= ref < len(buffers):
-                        wiring.append(("buf", int(ref)))
-                    else:
-                        return None
-                tasks.append((fn, wiring))
-            waves = [
-                [int(t) for t in wave] for wave in plan["waves"] if wave
-            ]
-            if sorted(t for wave in waves for t in wave) != list(
-                range(len(tasks))
-            ):
-                return None
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return None
-        return {"waves": waves, "buffers": buffers, "tasks": tasks}
-
-    def _run_parallel(
-        self, inputs: np.ndarray, output: np.ndarray, deadline: Optional[float]
-    ) -> None:
-        """Execute the kernel wave by wave (partition-level parallelism).
-
-        Tasks within a wave are analysis-proven disjoint (the
-        ``concurrency`` check re-verifies the schedule), so they run
-        concurrently on the worker pool; waves are barriers. Each task
-        processes the *whole* batch and the per-sample arithmetic is
-        untouched, so results are bit-identical to the serial path.
-        """
-        plan = self._parallel
-        n = inputs.shape[0]
-        buffers = [
-            np.empty((rows, n), dtype=dtype) for rows, dtype in plan["buffers"]
-        ]
-        calls = []
-        for fn, wiring in plan["tasks"]:
-            resolved = [
-                (inputs if ref == 0 else output) if kind == "arg" else buffers[ref]
-                for kind, ref in wiring
-            ]
-            calls.append((fn, resolved))
-        self.last_waves = [list(wave) for wave in plan["waves"]]
-
-        def run_tasks(start: int, end: int, wave=None) -> None:
-            for index in wave[start:end]:
-                faults.maybe_delay_chunk()
-                fn, args = calls[index]
-                fn(*args)
-
-        for wave in plan["waves"]:
-            if self._executor is None or len(wave) == 1:
-                run_tasks(0, len(wave), wave=wave)
-                continue
-            self._executor.run(
-                len(wave),
-                1,
-                lambda start, end, wave=wave: run_tasks(start, end, wave=wave),
-                deadline=deadline,
-                ranges=[(i, i + 1) for i in range(len(wave))],
-            )
-
     def _run(
         self, inputs: np.ndarray, output: np.ndarray, deadline: Optional[float] = None
     ) -> None:
@@ -319,10 +228,6 @@ class CPUExecutable(Executable):
         # libm semantics for the raw ufuncs in generated code: log(0) is
         # -inf, exp overflow is inf — never a warning or exception.
         with np.errstate(all="ignore"):
-            if self._parallel is not None:
-                self._run_parallel(inputs, output, deadline)
-                return
-            self.last_waves = []
             if self._executor is None:
                 faults.maybe_delay_chunk()
                 self.entry(inputs, output)

@@ -96,8 +96,8 @@ EXPECTATION_RTOL = 1e-5
 EXPECTATION_ATOL = 1e-8
 
 #: Default accuracy budget for structure-suite fuzzing (`fuzz
-#: --structure-opt`): generous enough that prune/compress actually fire
-#: on generated cases, small enough that a semantic bug (not a budgeted
+#: --structure-opt`): generous enough that pruning actually fires on
+#: generated cases, small enough that a semantic bug (not a budgeted
 #: approximation) still stands out.
 DEFAULT_STRUCTURE_BUDGET = 0.05
 
@@ -112,13 +112,13 @@ STRUCTURE_EXECUTION_CONFIGS: Tuple[Tuple[str, Dict[str, object]], ...] = (
 )
 
 #: Structure-suite pass names the fuzzer permutes.
-STRUCTURE_PASS_NAMES = ("cse", "prune", "compress")
+STRUCTURE_PASS_NAMES = ("cse", "prune")
 
 
 def clamp_to_modeled_domain(spn: Node, inputs: np.ndarray) -> np.ndarray:
     """Project inputs onto the modeled leaf domain of the lossy passes.
 
-    The accuracy budget of prune/compress is proven over the same
+    The accuracy budget of pruning is proven over the same
     bounded domain the error analysis models — every Gaussian leaf
     within :data:`~repro.compiler.error_analysis.GAUSSIAN_DOMAIN_SIGMAS`
     standard deviations of its mean, every histogram leaf within its
@@ -208,20 +208,6 @@ DEFAULT_CONFIGS: Tuple[ConfigSpec, ...] = (
     ConfigSpec(
         "cpu-o2-batch-sharded",
         options={"vectorize": "batch", "opt_level": 2, "num_threads": 4},
-    ),
-    # Partition-level task parallelism (analysis-gated): independent
-    # partitions of the task graph run concurrently on the worker pool;
-    # the proof comes from the memory-access summaries and the results
-    # must stay bit-identical to serial execution.
-    ConfigSpec(
-        "cpu-o2-partition-parallel",
-        options={
-            "vectorize": "batch",
-            "opt_level": 2,
-            "max_partition_size": 6,
-            "partition_parallel": True,
-            "num_threads": 4,
-        },
     ),
     ConfigSpec("gpu-sim", options={"target": "gpu"}),
     ConfigSpec("gpu-sim-pipelined", options={"target": "gpu", "streams": 4}),
@@ -749,15 +735,15 @@ class DifferentialOracle:
             Tuple[str, Dict[str, object]]
         ] = STRUCTURE_EXECUTION_CONFIGS,
     ) -> List[Divergence]:
-        """Verify one structure-suite spelling against the uncompressed
+        """Verify one structure-suite spelling against the unoptimized
         reference, across the execution-configuration matrix.
 
-        ``suite`` is a ``structure_opt`` spec ("cse", "prune,cse",
-        "cse,prune,compress", ...). CSE is exact, so a suite without a
-        lossy pass is held to the reference tolerance; suites containing
-        prune/compress get ``accuracy_budget`` of additional absolute
-        log-likelihood slack — the budget is the *semantic contract* of
-        those passes, and this check is what enforces it. Divergences
+        ``suite`` is a ``structure_opt`` spec ("cse", "prune,cse", ...).
+        CSE is exact, so a suite without pruning is held to the
+        reference tolerance; suites containing prune get
+        ``accuracy_budget`` of additional absolute log-likelihood slack
+        — the budget is the *semantic contract* of that pass, and this
+        check is what enforces it. Divergences
         shrink and dump reproducers exactly like backend divergences.
         """
         lossy = any(name != "cse" for name in suite.split(","))
@@ -812,19 +798,13 @@ class DifferentialOracle:
         Each case gets a random non-empty subset of the suite passes in
         a random order (``fuzz --structure-opt``); semantic preservation
         is asserted exactly for CSE-only spellings and within
-        ``accuracy_budget`` when prune/compress participate. Compression
-        needs a positive budget to be legal, so it only enters the draw
-        when one is available.
+        ``accuracy_budget`` when prune participates.
         """
         report = report or FuzzReport()
         generator = CaseGenerator(
             seed=seed, max_features=max_features, max_depth=max_depth
         )
-        names = [
-            name
-            for name in STRUCTURE_PASS_NAMES
-            if name != "compress" or accuracy_budget > 0
-        ]
+        names = list(STRUCTURE_PASS_NAMES)
         for case in generator.cases(count, start=start):
             rng = np.random.default_rng([seed, case.index, 0x57])
             chosen = [n for n in names if rng.random() < 0.5] or [

@@ -46,11 +46,6 @@ def _add_compiler_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1,
                         help="runtime worker threads the CPU batch is "
                              "sharded across (per-worker buffer arenas)")
-    parser.add_argument("--partition-parallel", action="store_true",
-                        help="run the parallelize-partitions pass: prove "
-                             "task-graph partitions disjoint (memory-access "
-                             "analysis) and execute independent partitions "
-                             "concurrently on the worker pool (cpu only)")
     parser.add_argument("--streams", type=int, default=1,
                         help="GPU device streams for the chunked "
                              "transfer/compute software pipeline "
@@ -74,16 +69,14 @@ def _add_compiler_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--structure-opt", default=None, metavar="PASSES",
                         help="structure-level optimization suite run on the "
                              "HiSPN graph before lowering: a comma list of "
-                             "cse, prune, compress (in order), or 'none'; "
+                             "cse, prune (in order), or 'none'; "
                              "the default derives from -O (-O3 enables "
                              "cse,prune)")
     parser.add_argument("--accuracy-budget", type=float, default=0.0,
                         metavar="EPS",
                         help="max acceptable absolute log-likelihood error "
-                             "for the lossy structure passes (prune/"
-                             "compress), split evenly among them; 0 limits "
-                             "pruning to exactly-zero weights and forbids "
-                             "compression")
+                             "for structure pruning; 0 limits pruning to "
+                             "exactly-zero weights")
     parser.add_argument("--pipeline", default=None, metavar="SPEC",
                         help="override the pass pipeline with an mlir-opt "
                              "style spec (see --print-pipeline for the "
@@ -122,7 +115,6 @@ def _options_from(args: argparse.Namespace, collect_ir: bool = False) -> Compile
         use_shuffle=not args.no_shuffle,
         max_partition_size=args.partition,
         num_threads=args.threads,
-        partition_parallel=args.partition_parallel,
         streams=args.streams,
         use_log_space=not args.linear_space,
         structure_opt=args.structure_opt,
@@ -923,8 +915,8 @@ def _analyze_structure_stats(args: argparse.Namespace) -> int:
     the numbers estimate what the optimization suite would buy: the
     duplicate-op count is exactly what ``structure-cse`` merges, the
     weight histogram shows the mass ``structure-prune`` could drop at a
-    given budget, and the dense layers are ``structure-compress``
-    candidates.
+    given budget, and the dense layers are the sum groups the lowering
+    emits as one ``lo_spn.weighted_sum`` each.
     """
     from ..compiler.frontend import build_hispn_module
     from ..compiler.structure import render_structure_stats, structure_stats
@@ -1194,7 +1186,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip IR round-trip/pass-permutation fuzzing")
     fuzz.add_argument("--structure-opt", action="store_true",
                       help="fuzz the structure-optimization suite instead: "
-                           "random permutations of cse/prune/compress per "
+                           "random permutations of cse/prune per "
                            "case, asserting exact semantics for CSE-only "
                            "spellings and within-budget max-abs "
                            "log-likelihood error otherwise, across cpu "

@@ -17,7 +17,6 @@ SEEDED_BUGS = {
     "range_underflow_bug.mlir": "range.linear-underflow",
     "lint_dead_result_bug.mlir": "lint.unused-result",
     "concurrency_shard_overlap_bug.mlir": "concurrency.shard-overlap",
-    "concurrency_task_race_bug.mlir": "concurrency.task-race",
 }
 
 

@@ -222,9 +222,8 @@ class TestEveryPassAcrossAllConfigurations:
     """Every golden pipeline combo and query modality runs clean.
 
     The exhaustive acceptance sweep: all 24 registered
-    (target, opt_level, vectorize) combinations, all four non-joint
-    query modalities, and the analysis-gated partition-parallel
-    configuration compile with ``verify_each="every-pass"`` — the full
+    (target, opt_level, vectorize) combinations and all four non-joint
+    query modalities compile with ``verify_each="every-pass"`` — the full
     static-analysis suite (buffer safety, range, lint, concurrency)
     after every pass — without a single finding.
     """
@@ -271,33 +270,3 @@ class TestEveryPassAcrossAllConfigurations:
             ),
         )
         assert result.analysis_findings == []
-
-    def test_partition_parallel_schedule_passes_reverification(self):
-        # The attached parallelSchedule is re-checked from scratch by
-        # the concurrency analysis after every subsequent pass.
-        from repro.spn import Gaussian, Product, Sum
-
-        wide = Sum(
-            [
-                Product([Gaussian(2 * i, 0.0, 1.0),
-                         Gaussian(2 * i + 1, 0.0, 1.0)])
-                for i in range(4)
-            ],
-            [0.25] * 4,
-        )
-        result = compile_spn(
-            wide,
-            JointProbability(batch_size=16),
-            CompilerOptions(
-                vectorize="batch",
-                max_partition_size=6,
-                partition_parallel=True,
-                num_threads=4,
-                verify_each="every-pass",
-            ),
-        )
-        try:
-            assert result.analysis_findings == []
-            assert result.executable.parallel_plan is not None
-        finally:
-            result.executable.close()

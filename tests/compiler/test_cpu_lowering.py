@@ -83,7 +83,7 @@ class TestScalarLowering:
 
 class TestVectorizedLowering:
     def options(self, **kw):
-        kw.setdefault("vectorize", True)
+        kw.setdefault("vectorize", "lanes")
         kw.setdefault("superword_factor", 4)
         return CPULoweringOptions(**kw)
 
@@ -173,12 +173,12 @@ class TestNumericalEquivalence:
         "options",
         [
             {},
-            {"vectorize": True, "superword_factor": 4},
-            {"vectorize": True, "vector_isa": "avx512", "superword_factor": 2},
-            {"vectorize": True, "vector_isa": "neon", "superword_factor": 2},
-            {"vectorize": True, "use_shuffle": False, "superword_factor": 4},
-            {"vectorize": True, "use_vector_library": False, "superword_factor": 2},
-            {"vectorize": True, "opt_level": 2, "superword_factor": 4},
+            {"vectorize": "lanes", "superword_factor": 4},
+            {"vectorize": "lanes", "vector_isa": "avx512", "superword_factor": 2},
+            {"vectorize": "lanes", "vector_isa": "neon", "superword_factor": 2},
+            {"vectorize": "lanes", "use_shuffle": False, "superword_factor": 4},
+            {"vectorize": "lanes", "use_vector_library": False, "superword_factor": 2},
+            {"vectorize": "lanes", "opt_level": 2, "superword_factor": 4},
             {"opt_level": 0},
             {"opt_level": 3},
         ],
@@ -199,7 +199,7 @@ class TestNumericalEquivalence:
         result = compile_spn(
             discrete_spn,
             JointProbability(batch_size=16),
-            CompilerOptions(vectorize=True, superword_factor=4),
+            CompilerOptions(vectorize="lanes", superword_factor=4),
         )
         np.testing.assert_allclose(
             result.executable(discrete_inputs), ref, rtol=2e-3, atol=1e-5
@@ -212,7 +212,7 @@ class TestNumericalEquivalence:
         result = compile_spn(
             gaussian_spn,
             JointProbability(batch_size=8),
-            CompilerOptions(vectorize=True, superword_factor=1),
+            CompilerOptions(vectorize="lanes", superword_factor=1),
         )
         np.testing.assert_allclose(result.executable(x), ref, rtol=2e-3, atol=1e-5)
 
@@ -222,6 +222,6 @@ class TestNumericalEquivalence:
         result = compile_spn(
             gaussian_spn,
             JointProbability(batch_size=8),
-            CompilerOptions(vectorize=True, superword_factor=4),
+            CompilerOptions(vectorize="lanes", superword_factor=4),
         )
         np.testing.assert_allclose(result.executable(x), ref, rtol=2e-3, atol=1e-5)

@@ -75,7 +75,7 @@ class TestExecution:
         "options",
         [
             CompilerOptions(),
-            CompilerOptions(vectorize=True, superword_factor=2),
+            CompilerOptions(vectorize="lanes", superword_factor=2),
             CompilerOptions(max_partition_size=20, verify_each="structural"),
             CompilerOptions(target="gpu"),
             CompilerOptions(target="gpu", max_partition_size=20),

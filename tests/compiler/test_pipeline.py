@@ -158,10 +158,10 @@ class TestPublicAPI:
 
     def test_target_options_forwarded(self, gaussian_spn, gaussian_inputs):
         compiler = CPUCompiler(
-            batch_size=16, vectorize=True, vector_isa="avx512", superword_factor=2
+            batch_size=16, vectorize="lanes", vector_isa="avx512", superword_factor=2
         )
         result = compiler.compile(gaussian_spn)
-        assert result.options.vectorize
+        assert result.options.vectorize == "lanes"
         assert result.options.vector_isa == "avx512"
 
     def test_marginal_through_api(self, gaussian_spn, rng):

@@ -9,11 +9,8 @@ from repro.compiler.frontend import build_hispn_module
 from repro.compiler.pipeline import CompilerOptions, OptionsError, compile_spn
 from repro.compiler.structure import (
     CanonicalIndex,
-    compress_graph,
     cse_module,
     each_graph,
-    factor_layer,
-    find_dense_layers,
     graph_ops,
     module_to_spn,
     path_multiplicities,
@@ -232,54 +229,6 @@ class TestPrune:
         assert gap <= budget
 
 
-class TestLowRank:
-    def _layered_spn(self, weights):
-        children = [Gaussian(0, float(i), 1.0) for i in range(weights.shape[1])]
-        rows = [Sum(children, list(map(float, row))) for row in weights]
-        return Sum(rows, [1.0 / len(rows)] * len(rows))
-
-    def test_factor_layer_recovers_rank_one(self):
-        outer = np.array([[0.6], [0.3], [0.1], [0.9]])
-        inner = np.array([[0.2, 0.3, 0.1, 0.25, 0.15]])
-        weights = outer @ inner
-        weights /= weights.sum(axis=1, keepdims=True)
-        a, b = factor_layer(weights, tolerance=1e-6)
-        assert a.shape == (4, 1) and b.shape == (1, 5)
-        np.testing.assert_allclose(a @ b, weights, atol=1e-6)
-        np.testing.assert_allclose((a @ b).sum(axis=1), 1.0)
-
-    def test_factor_layer_refuses_without_savings(self):
-        # 2x2 layer: any rank r >= 1 has r*(2+2) >= 4 = N*K edges.
-        weights = np.array([[0.5, 0.5], [0.4, 0.6]])
-        assert factor_layer(weights, tolerance=1.0) is None
-
-    def test_compress_graph_rewrites_dense_layer(self, rng):
-        outer = np.array([[0.6], [0.3], [0.1], [0.9]])
-        inner = np.array([[0.2, 0.3, 0.1, 0.25, 0.15]])
-        weights = outer @ inner
-        weights /= weights.sum(axis=1, keepdims=True)
-        spn = self._layered_spn(weights)
-        module = _module(spn)
-        graph = _graph(module)
-        assert len(find_dense_layers(graph)) == 1
-        budget = 0.05
-        assert compress_graph(graph, budget) == 1
-        verify(module)
-        # 4 sums x 5 children -> 1 inner + 4 outer single-child rows.
-        compressed = module_to_spn(module)[0]
-        x = rng.normal(1.0, 2.0, size=(64, 1))
-        gap = np.abs(
-            log_likelihood(compressed, x) - log_likelihood(spn, x)
-        ).max()
-        assert gap <= budget
-
-    def test_full_rank_layer_untouched(self):
-        weights = np.eye(4) * 0.97 + 0.01
-        spn = self._layered_spn(weights)
-        graph = _graph(_module(spn))
-        assert compress_graph(graph, 0.01) == 0
-
-
 class TestOptions:
     def test_default_ladder(self):
         assert CompilerOptions(opt_level=2).structure_passes() == ()
@@ -298,22 +247,16 @@ class TestOptions:
         ).structure_passes() == ()
 
     def test_unknown_pass_rejected(self):
-        with pytest.raises(OptionsError):
-            CompilerOptions(structure_opt="cse,typo")
+        # "compress" (low-rank sum-layer factoring) was removed.
+        for spec in ("cse,typo", "compress"):
+            with pytest.raises(OptionsError):
+                CompilerOptions(structure_opt=spec, accuracy_budget=0.01)
 
-    def test_compress_requires_budget(self):
-        with pytest.raises(OptionsError):
-            CompilerOptions(structure_opt="compress")
-        options = CompilerOptions(
-            structure_opt="compress", accuracy_budget=0.01
-        )
-        assert options.structure_passes() == ("compress",)
-
-    def test_budget_split_across_lossy_passes(self):
-        options = CompilerOptions(
-            structure_opt="cse,prune,compress", accuracy_budget=0.04
-        )
-        assert options.structure_budget_share() == pytest.approx(0.02)
+    def test_budget_goes_to_prune(self):
+        options = CompilerOptions(structure_opt="cse,prune", accuracy_budget=0.04)
+        assert options.structure_budget_share() == pytest.approx(0.04)
+        cse_only = CompilerOptions(structure_opt="cse", accuracy_budget=0.04)
+        assert cse_only.structure_budget_share() == 0.0
 
     def test_negative_budget_rejected(self):
         with pytest.raises(OptionsError):
@@ -353,6 +296,17 @@ class TestStats:
         assert histogram["[1e-08, 1e-06)"] == 1
         assert histogram["[0.1, 1)"] == 1
 
+    def test_dense_layers_are_the_lowering_sum_groups(self):
+        # Two sums over one list of 3 children form a dense layer; a
+        # sum over a different list and a lone 1-child sum do not.
+        children = [Gaussian(0, float(i), 1.0) for i in range(3)]
+        layer = [Sum(children, [0.2, 0.3, 0.5]), Sum(children, [0.6, 0.3, 0.1])]
+        other = Sum(children[:2], [0.5, 0.5])
+        single = Sum([Gaussian(0, 4.0, 1.0)], [1.0])
+        spn = Sum([*layer, other, single], [0.25] * 4)
+        graph = structure_stats(_module(spn))["graphs"][0]
+        assert graph["dense_layers"] == [{"sums": 2, "children": 3}]
+
 
 class TestSerializationRoundTrip:
     def _roundtrip(self, root):
@@ -370,25 +324,6 @@ class TestSerializationRoundTrip:
         # Sharing is preserved: the merged product is one node, not two.
         assert num_nodes(restored) == num_nodes(optimized) == 4
         x = rng.normal(0.0, 1.0, size=(16, 2))
-        np.testing.assert_array_equal(
-            log_likelihood(restored, x), log_likelihood(optimized, x)
-        )
-
-    def test_factored_layer_survives(self, rng):
-        outer = np.array([[0.6], [0.3], [0.1], [0.9]])
-        inner = np.array([[0.2, 0.3, 0.1, 0.25, 0.15]])
-        weights = outer @ inner
-        weights /= weights.sum(axis=1, keepdims=True)
-        children = [Gaussian(0, float(i), 1.0) for i in range(5)]
-        rows = [Sum(children, list(map(float, row))) for row in weights]
-        spn = Sum(rows, [0.25] * 4)
-        module = _module(spn)
-        assert compress_graph(_graph(module), 0.05) == 1
-        optimized = module_to_spn(module)[0]
-        restored = self._roundtrip(optimized)
-        assert structurally_equal(restored, optimized)
-        assert num_nodes(restored) == num_nodes(optimized)
-        x = rng.normal(1.0, 2.0, size=(16, 1))
         np.testing.assert_array_equal(
             log_likelihood(restored, x), log_likelihood(optimized, x)
         )
@@ -417,7 +352,7 @@ class TestEndToEnd:
             query,
             CompilerOptions(
                 opt_level=1,
-                structure_opt="cse,prune,compress",
+                structure_opt="cse,prune",
                 accuracy_budget=budget,
             ),
         )

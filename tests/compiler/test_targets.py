@@ -108,7 +108,6 @@ class TestStageNameFreeze:
         "hispn-simplify",
         "structure-cse",
         "structure-prune",
-        "structure-compress",
         "lower-to-lospn",
         "lospn-cse",
         "graph-partitioning",

@@ -1,7 +1,7 @@
 """Oracle enforcement of the structure-suite accuracy budget.
 
 The structure passes carry a semantic contract — CSE is exact,
-prune/compress stay within the accuracy budget over the modeled input
+prune stays within the accuracy budget over the modeled input
 domain — and :meth:`DifferentialOracle.check_structure_case` /
 ``python -m repro fuzz --structure-opt`` are the machinery that
 enforces it across the execution-configuration matrix. These tests

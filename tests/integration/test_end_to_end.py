@@ -53,7 +53,7 @@ class TestSpeakerIdentification:
         "options",
         [
             CompilerOptions(),
-            CompilerOptions(vectorize=True, superword_factor=4),
+            CompilerOptions(vectorize="lanes", superword_factor=4),
             CompilerOptions(target="gpu"),
         ],
         ids=["cpu-scalar", "cpu-vectorized", "gpu"],
@@ -84,7 +84,7 @@ class TestSpeakerIdentification:
             ref = log_likelihood(spn, dataset.noisy.astype(np.float64))
             for options in (
                 CompilerOptions(),
-                CompilerOptions(vectorize=True, superword_factor=4),
+                CompilerOptions(vectorize="lanes", superword_factor=4),
                 CompilerOptions(target="gpu"),
             ):
                 out = compile_spn(spn, query, options).executable(dataset.noisy)
@@ -123,7 +123,7 @@ class TestRatSpnPipeline:
         cpu = compile_spn(
             spn,
             JointProbability(batch_size=32),
-            CompilerOptions(max_partition_size=60, vectorize=True, superword_factor=4),
+            CompilerOptions(max_partition_size=60, vectorize="lanes", superword_factor=4),
         )
         gpu = compile_spn(
             spn,
@@ -169,7 +169,7 @@ class TestPropertyCompiledEqualsReference:
         out = compile_spn(
             spn,
             JointProbability(batch_size=4),
-            CompilerOptions(vectorize=True, superword_factor=1),
+            CompilerOptions(vectorize="lanes", superword_factor=1),
         ).executable(x)
         np.testing.assert_allclose(out, ref, rtol=5e-3, atol=5e-4)
 

@@ -124,16 +124,16 @@ class TestDifferentialAgainstCodegen:
         [
             (make_gaussian_spn, None, None),
             (make_discrete_spn, None, None),
-            (make_gaussian_spn, CPULoweringOptions(vectorize=True, superword_factor=1), None),
+            (make_gaussian_spn, CPULoweringOptions(vectorize="lanes", superword_factor=1), None),
             (
                 make_discrete_spn,
-                CPULoweringOptions(vectorize=True, superword_factor=1, use_shuffle=False),
+                CPULoweringOptions(vectorize="lanes", superword_factor=1, use_shuffle=False),
                 None,
             ),
             (
                 make_gaussian_spn,
                 CPULoweringOptions(
-                    vectorize=True, superword_factor=1, use_vector_library=False
+                    vectorize="lanes", superword_factor=1, use_vector_library=False
                 ),
                 None,
             ),

@@ -11,6 +11,7 @@ dynamically, the race detector names statically.
 """
 
 import numpy as np
+import pytest
 
 from repro.compiler import CompilerOptions, compile_spn
 from repro.ir.analysis import check_shard_plan
@@ -50,6 +51,49 @@ class TestStaticSide:
         # Every extended chunk overlaps its successor.
         assert len(overlaps) == len(plan) - 1
         assert not any(f.check == "concurrency.shard-gap" for f in findings)
+
+    @pytest.mark.parametrize(
+        "tamper, expected",
+        [
+            (lambda plan: plan[1:], {"concurrency.shard-gap"}),
+            (lambda plan: plan[:3] + plan[4:], {"concurrency.shard-gap"}),
+            (lambda plan: plan[:-1], {"concurrency.shard-gap"}),
+            (lambda plan: plan + [plan[2]], {"concurrency.shard-overlap"}),
+            (
+                lambda plan: [(0, plan[0][1] + 1)] + plan[1:],
+                {"concurrency.shard-overlap"},
+            ),
+            (
+                lambda plan: [(s + 1, e + 1) for s, e in plan],
+                {"concurrency.shard-gap"},
+            ),
+            (
+                lambda plan: [(0, plan[1][1])] + plan[2:] + [(ROWS - 8, ROWS)],
+                {"concurrency.shard-overlap"},
+            ),
+        ],
+        ids=[
+            "drop-head",
+            "drop-middle",
+            "drop-tail",
+            "duplicate",
+            "extend",
+            "shift",
+            "merge-plus-stray",
+        ],
+    )
+    def test_tampered_plan_is_flagged(self, tamper, expected):
+        plan = plan_chunks(ROWS, BATCH, 2)
+        findings = check_shard_plan(tamper(list(plan)), ROWS)
+        assert {f.check for f in findings} == expected
+
+    @pytest.mark.parametrize(
+        "rows, hint, workers",
+        [(1, BATCH, 2), (ROWS, BATCH, 1), (ROWS, ROWS, 4), (10_000, 3000, 2),
+         (100_000, 100_000, 8)],
+    )
+    def test_every_healthy_plan_is_clean(self, rows, hint, workers):
+        assert check_shard_plan(plan_chunks(rows, hint, workers), rows) == []
 
     def test_fault_outside_context_is_inert(self):
         plan = plan_chunks(ROWS, BATCH, 2)
